@@ -12,10 +12,9 @@ from .ising import (
     ring_instance,
     complete_instance,
     load_instance,
-    save_instance,
     load_edgelist,
 )
-from .qaoa import QaoaParams, TrialStream, prepare_state, sample, synthetic_trials, optimize
+from .qaoa import QaoaParams, prepare_state, sample, synthetic_trials, optimize
 from .timing import (
     GateTimings,
     ExecutionProfile,
@@ -33,6 +32,7 @@ from .bandwidth import (
     bw_msb_bps,
     bw_non_msb_bps,
     choose_b,
+    resolve_width,
     reduction_ratio,
     asymptotic_reduction_ratio,
     overhead_factor,

@@ -113,10 +113,7 @@ def check_case(
                     start,
                 )
 
-    t_qc_ns = 1.0  # arbitrary timebase; collection checks are arithmetic
-    collection = collect_non_msbs(
-        bank, accumulator, width_b * window * t_qc_ns, t_qc_ns
-    )
+    collection = collect_non_msbs(bank, accumulator)
     for e, expected in tally.items():
         if collection.totals[e] != expected:
             return violation(

@@ -9,19 +9,17 @@ durations are nanoseconds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .timing import (
+    _NS_PER_S,
     GateTimings,
     DEFAULT_TIMINGS,
     circuit_time_ns,
     layer_time_ns,
     per_qubit_circuit_time_ns,
 )
-
-_NS_PER_S = 1e9
 
 
 def bw_inst_bps(
@@ -84,9 +82,14 @@ class ChosenB(NamedTuple):
     feasible: bool
 
 
+def _fits_budget(b: int, t: int, r: float) -> bool:
+    """End-of-run collection of b-bit counters fits the overhead budget:
+    b * 2^b < 2*r*T."""
+    return b * (1 << b) < 2 * r * t
+
+
 def choose_b(t: int, r: float) -> ChosenB:
-    """Largest counter width whose end-of-run collection fits the overhead
-    budget: b * 2^b < 2*r*T.
+    """Largest counter width that fits the overhead budget.
 
     Returns b=1 with ``feasible=False`` when no width fits.
     """
@@ -94,13 +97,29 @@ def choose_b(t: int, r: float) -> ChosenB:
         raise ValueError(f"trial count must be >= 1, got {t}")
     if r <= 0:
         raise ValueError(f"overhead fraction must be positive, got {r}")
-    bound = 2 * r * t
-    if 2 >= bound:  # even b=1 violates
+    if not _fits_budget(1, t, r):
         return ChosenB(1, False)
     b = 1
-    while (b + 1) * (1 << (b + 1)) < bound:
+    while _fits_budget(b + 1, t, r):
         b += 1
     return ChosenB(b, True)
+
+
+def clamp_width(b: int) -> int:
+    """Narrowest usable counter is 2 bits: the MSB must be distinct from
+    the payload bits."""
+    return max(b, 2)
+
+
+def resolve_width(counter_bits: int | str, t: int, r: float) -> ChosenB:
+    """Counter width for a run and whether it fits the overhead budget.
+
+    ``counter_bits`` is an explicit width or "auto" for the widest width
+    that fits.  Feasibility is judged on the width actually used, so an
+    auto width clamped up to 2 can be infeasible.
+    """
+    b = clamp_width(choose_b(t, r).b if counter_bits == "auto" else counter_bits)
+    return ChosenB(b, _fits_budget(b, t, r))
 
 
 def reduction_ratio(m: int, b: int, n: int) -> float:
@@ -141,20 +160,17 @@ class SweepRow:
 
 
 def staircase_sweep(
-    t_values: Sequence[int],
-    r_grid: Sequence[float],
-    n: int = 750,
-    timings: GateTimings = DEFAULT_TIMINGS,
+    t_values: Sequence[int], r_grid: Sequence[float], n: int = 750
 ) -> list[SweepRow]:
     """Tabulate chosen width and bandwidth ratio over (T, r) grids.
 
     The ratio column is the large-N worst-case value 2^(1-b), so it is a
     staircase in r (b is an integer).  Absolute rates use the canonical
-    per-qubit circuit time at the given qubit count.
+    paper-v1 per-qubit circuit time (750 ns) at the given qubit count.
     """
     if not t_values or not r_grid:
         raise ValueError("sweep grids must be nonempty")
-    t_qc = per_qubit_circuit_time_ns(timings)
+    t_qc = per_qubit_circuit_time_ns(DEFAULT_TIMINGS)
     bw_meas = n / t_qc * _NS_PER_S
     rows = []
     for t in t_values:
@@ -178,7 +194,7 @@ def staircase_sweep(
 
 @dataclass(frozen=True)
 class BandwidthReport:
-    """All rates for one scenario, plus the chosen counter width."""
+    """All rates for one scenario at a resolved counter width."""
 
     bw_inst_bps: float
     bw_meas_bps: float
@@ -186,12 +202,8 @@ class BandwidthReport:
     bw_non_msb_bps: float
     bw_proposed_bps: float
     reduction_ratio: float
-    chosen_b: int
-    b_feasible: bool
     t_c_ns: float
     overhead_factor: float
-    t_qc_ns: float
-    m_in_use: int
 
 
 def bandwidth_report(
@@ -203,29 +215,16 @@ def bandwidth_report(
     p: int,
     b_p: int,
     trials: int,
-    overhead_budget: float | None = None,
-    b: int | None = None,
-    m: int | None = None,
-    t_c_ns: float | None = None,
+    b: int,
 ) -> BandwidthReport:
-    """Assemble the full rate picture for one scenario.
+    """Assemble the full rate picture for one scenario at width ``b``.
 
-    Width ``b`` is chosen from the overhead budget when not given; ``m``
-    defaults to the S + C counters the instance actually uses; ``t_c``
-    defaults to the minimal smoothing window, which makes the residual
-    collection rate tie the MSB rate exactly.
+    The S + C counters the instance uses are collected over the minimal
+    smoothing window, so the residual collection rate ties the MSB rate.
     """
-    if m is None:
-        m = s + c
-    feasible = True
-    if b is None:
-        if overhead_budget is None:
-            raise ValueError("need either an explicit counter width or an overhead budget")
-        b, feasible = choose_b(trials, overhead_budget)
-        b = max(b, 2)  # MSB must be distinct from the payload bits
+    m = s + c
     t_qc = circuit_time_ns(timings, s, c, n, l, p)
-    if t_c_ns is None:
-        t_c_ns = min_collection_time_ns(b, t_qc)
+    t_c_ns = min_collection_time_ns(b, t_qc)
     meas = bw_meas_bps(timings, s, c, n, l, p)
     if m >= 1:
         msb = bw_msb_bps(m, b, t_qc)
@@ -241,10 +240,6 @@ def bandwidth_report(
         bw_non_msb_bps=non_msb,
         bw_proposed_bps=proposed,
         reduction_ratio=proposed / meas,
-        chosen_b=b,
-        b_feasible=feasible,
         t_c_ns=t_c_ns,
         overhead_factor=overhead_factor(trials, b),
-        t_qc_ns=t_qc,
-        m_in_use=m,
     )

@@ -134,21 +134,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     timings = config.gate_timings()
     t_qc_ns = profile.circuit_time_ns(timings)
 
-    if isinstance(config.counter_bits, int):
-        width_b = config.counter_bits
-        feasible = True
-    else:
-        width_b, feasible = bandwidth.choose_b(config.trials, config.overhead_budget)
-        width_b = max(width_b, 2)
+    width_b, feasible = bandwidth.resolve_width(
+        config.counter_bits, config.trials, config.overhead_budget
+    )
 
     trials = _build_trials(config, instance)
     baseline = counters.run_baseline(instance, trials)
     proposed = counters.run_proposed(
-        instance,
-        trials,
-        width_b,
-        t_qc_ns=t_qc_ns,
-        log_events=args.trace is not None,
+        instance, trials, width_b, log_events=args.trace is not None
     )
     report = bandwidth.bandwidth_report(
         timings,
@@ -159,8 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         p,
         config.param_bits,
         config.trials,
-        b=width_b,
-        m=instance.terms_in_use,
+        width_b,
     )
 
     exact_types = (int, Fraction)

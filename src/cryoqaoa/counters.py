@@ -14,11 +14,14 @@ that every entry is flushed exactly once in any window of 2^(b-1) trials
 and every such window carries exactly M bits.  Entries increment at most
 once per trial, so a flushed entry can reach at most 2^b - 1 before its
 next flush: no carry is ever lost.
+
+The model counts bits and trials only, not time: the schedule depends on
+the trial index alone.  Rates, circuit times and the collection window
+live in ``bandwidth``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -26,8 +29,6 @@ from typing import Iterable, Sequence
 from .ising import BitString, Coeff, IsingInstance, sampled_energy
 
 EntryId = int | tuple[int, int]
-
-_NS_PER_S = 1e9
 
 
 @dataclass(slots=True)
@@ -125,11 +126,6 @@ class CounterBank:
         return len(self.entry_order)
 
     @property
-    def provisioned_entries(self) -> int:
-        """Hardware provisions every single and pair slot: N(N+1)/2."""
-        return self.n_qubits * (self.n_qubits + 1) // 2
-
-    @property
     def flush_window(self) -> int:
         """Trials between flushes of the same entry: 2^(b-1)."""
         return 1 << (self.width_b - 1)
@@ -211,25 +207,14 @@ def readout_entry(entry: CounterEntry, entry_id: EntryId | None = None) -> Reado
 @dataclass(frozen=True)
 class CollectionResult:
     totals: dict[EntryId, int]
-    bw_used_bps: float
-    smoothing_ok: bool
     events: tuple[ReadoutEvent, ...]
 
 
-def collect_non_msbs(
-    bank: CounterBank,
-    accumulator: RoomTempAccumulator,
-    t_c_ns: float,
-    t_qc_ns: float | None = None,
-) -> CollectionResult:
+def collect_non_msbs(bank: CounterBank, accumulator: RoomTempAccumulator) -> CollectionResult:
     """Read every in-use entry sequentially and reconstruct its tally.
 
-    totals[e] = warm-side units * 2^(b-1) + residual value.  When the
-    circuit time is known, a collection window shorter than the smoothing
-    bound b * 2^(b-1) * t_QC is flagged (its rate exceeds the MSB rate).
+    totals[e] = warm-side units * 2^(b-1) + residual value.
     """
-    if t_c_ns <= 0:
-        raise ValueError(f"collection time must be positive, got {t_c_ns}")
     half = bank.flush_window
     totals: dict[EntryId, int] = {}
     events = []
@@ -237,20 +222,7 @@ def collect_non_msbs(
         event = readout_entry(bank.entries[e], e)
         events.append(event)
         totals[e] = accumulator.upper_counts.get(e, 0) * half + event.recovered_value
-    bw_used = bank.width_b * bank.m_in_use / t_c_ns * _NS_PER_S
-    smoothing_ok = True
-    if t_qc_ns is not None:
-        bound = bank.width_b * half * t_qc_ns
-        if t_c_ns < bound:
-            smoothing_ok = False
-            warnings.warn(
-                f"collection window {t_c_ns} ns is below the smoothing bound "
-                f"{bound} ns; collection bandwidth exceeds the MSB rate",
-                stacklevel=2,
-            )
-    return CollectionResult(
-        totals=totals, bw_used_bps=bw_used, smoothing_ok=smoothing_ok, events=tuple(events)
-    )
+    return CollectionResult(totals=totals, events=tuple(events))
 
 
 def counter_energy_estimate(
@@ -319,26 +291,16 @@ def run_proposed(
     instance: IsingInstance,
     trials: Sequence[BitString],
     width_b: int,
-    t_c_ns: float | None = None,
-    t_qc_ns: float | None = None,
-    fault: str | None = None,
     log_events: bool = False,
 ) -> ProposedRun:
-    """Drive the counter bank over all trials, then collect and estimate.
-
-    ``t_c_ns`` defaults to the smoothing bound, which needs ``t_qc_ns``.
-    """
-    if t_c_ns is None:
-        if t_qc_ns is None:
-            raise ValueError("need t_c_ns or t_qc_ns to size the collection window")
-        t_c_ns = width_b * (1 << (width_b - 1)) * t_qc_ns
-    bank = CounterBank.for_instance(instance, width_b, fault=fault)
+    """Drive the counter bank over all trials, then collect and estimate."""
+    bank = CounterBank.for_instance(instance, width_b)
     if log_events:
         bank.event_log = []
     accumulator = RoomTempAccumulator()
     for z in trials:
         bank.step(z, accumulator)
-    collection = collect_non_msbs(bank, accumulator, t_c_ns, t_qc_ns)
+    collection = collect_non_msbs(bank, accumulator)
     energy = None
     if len(trials) > 0:
         energy = counter_energy_estimate(instance, collection.totals, len(trials))

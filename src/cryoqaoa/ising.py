@@ -14,11 +14,12 @@ against counter-based reconstructions.  Max-cut graphs map each edge to
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Coeff = int | float | Fraction
 BitString = Sequence[int]
@@ -168,36 +169,6 @@ def make_instance(spec: str) -> IsingInstance:
     return generators[name](n)
 
 
-def is_connected(instance: IsingInstance) -> bool:
-    """True when the nonzero pair terms connect all qubits."""
-    n = instance.n_qubits
-    if n == 1:
-        return True
-    adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
-    for (i, j), coeff in instance.pairs.items():
-        if coeff != 0:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nbr in adjacency[stack.pop()]:
-            if nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
-    return len(seen) == n
-
-
-def parse_bits(text: str) -> tuple[int, ...]:
-    """Parse "0101" into a bit tuple; position k is qubit k."""
-    bits = []
-    for ch in text.strip():
-        if ch not in "01":
-            raise ValueError(f"invalid bit {ch!r} in {text!r}")
-        bits.append(int(ch))
-    return tuple(bits)
-
-
 def format_bits(z: BitString) -> str:
     return "".join(str(int(b)) for b in z)
 
@@ -215,29 +186,19 @@ def _parse_coeff(text: str) -> Coeff:
         except (ValueError, ZeroDivisionError):
             pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"cannot parse coefficient {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"coefficient {text!r} is not finite")
+    return value
 
 
-def _format_coeff(value: Coeff) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def save_instance(instance: IsingInstance, path: str | Path) -> None:
-    """Write the key-value instance format (see ``load_instance``)."""
-    lines = [f"n = {instance.n_qubits}"]
-    if instance.label:
-        lines.append(f"label = {instance.label}")
-    lines.append("[linear]")
-    for i in sorted(instance.linear):
-        lines.append(f"{i} = {_format_coeff(instance.linear[i])}")
-    lines.append("[pairs]")
-    for i, j in sorted(instance.pairs):
-        lines.append(f"{i} {j} = {_format_coeff(instance.pairs[(i, j)])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}") from None
 
 
 def load_instance(path: str | Path) -> IsingInstance:
@@ -257,36 +218,32 @@ def load_instance(path: str | Path) -> IsingInstance:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in ("linear", "pairs"):
-                raise ValueError(f"{path}:{lineno}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if section is None:
-            if key == "n":
-                n = int(value)
-            elif key == "label":
-                label = value
+        try:
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip().lower()
+                if section not in ("linear", "pairs"):
+                    raise ValueError(f"unknown section [{section}]")
+                continue
+            if "=" not in line:
+                raise ValueError(f"expected 'key = value', got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if section is None:
+                if key == "n":
+                    n = _parse_int(value, "qubit count")
+                elif key == "label":
+                    label = value
+                else:
+                    raise ValueError(f"unknown top-level key {key!r}")
+            elif section == "linear":
+                linear[_parse_int(key, "linear index")] = _parse_coeff(value)
             else:
-                raise ValueError(f"{path}:{lineno}: unknown top-level key {key!r}")
-        elif section == "linear":
-            try:
-                i = int(key)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad linear index {key!r}") from None
-            linear[i] = _parse_coeff(value)
-        else:
-            fields = key.split()
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: pair key must be 'i j', got {key!r}")
-            try:
-                i, j = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad pair indices {key!r}") from None
-            pairs[(i, j)] = _parse_coeff(value)
+                fields = key.split()
+                if len(fields) != 2:
+                    raise ValueError(f"pair key must be 'i j', got {key!r}")
+                i, j = (_parse_int(f, "pair index") for f in fields)
+                pairs[(i, j)] = _parse_coeff(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if n is None:
         raise ValueError(f"{path}: missing required 'n = N' line")
     try:

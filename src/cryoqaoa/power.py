@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .timing import GateTimings, DEFAULT_TIMINGS, per_qubit_circuit_time_ns
+from .bandwidth import bw_msb_bps, clamp_width
+from .timing import _NS_PER_S, DEFAULT_TIMINGS, per_qubit_circuit_time_ns
 
-_NS_PER_S = 1e9
 # Absorbs float rounding when a bandwidth lands exactly on a capacity
 # multiple; far below the smallest physical increment of interest.
 _CAPACITY_SLACK = 1e-12
@@ -120,22 +120,19 @@ def _ceil_log2(n: int) -> int:
 
 def system_comparison(
     n_range: Sequence[int],
-    timings: GateTimings = DEFAULT_TIMINGS,
     cable: CableSpec = DEFAULT_CABLE,
     sfq: SfqPowerSpec = DEFAULT_SFQ,
     b_policy: int | str = "log2",
-    t_qc_ns: float | None = None,
 ) -> SystemComparison:
     """Baseline versus counter-based dissipation over a qubit-count sweep.
 
     Worst-case shape throughout (fully parallel, M = N-1 counters in use
     for bandwidth, all N(N+1)/2 entries powered).  The timebase is the
-    canonical per-qubit circuit time unless overridden.  ``b_policy`` is a
+    canonical paper-v1 per-qubit circuit time (750 ns).  ``b_policy`` is a
     fixed width or "log2" for ceil(log2 N), clamped to at least 2.
     Crossover is the first N where the proposed total drops below baseline.
     """
-    if t_qc_ns is None:
-        t_qc_ns = per_qubit_circuit_time_ns(timings)
+    t_qc_ns = per_qubit_circuit_time_ns(DEFAULT_TIMINGS)
     rows = []
     crossover = None
     for n in n_range:
@@ -151,9 +148,8 @@ def system_comparison(
             counter_power_w=0.0,
             total_mw=cable_mw_base,
         )
-        b = _ceil_log2(n) if b_policy == "log2" else int(b_policy)
-        b = max(b, 2)
-        bw_prop = (n - 1) / ((1 << (b - 1)) * t_qc_ns) * _NS_PER_S
+        b = clamp_width(_ceil_log2(n) if b_policy == "log2" else int(b_policy))
+        bw_prop = bw_msb_bps(n - 1, b, t_qc_ns)
         cables_prop, cable_mw_prop = cable_power(bw_prop, cable)
         counter_w = total_counter_power_w(n, b, sfq)
         proposed = PowerReport(

@@ -147,32 +147,6 @@ def synthetic_trials(
 
 
 @dataclass(frozen=True)
-class TrialStream:
-    """Bitstring source config: exact statevector sampling or synthetic."""
-
-    trial_count: int
-    statevector: np.ndarray | None = None
-    marginals: tuple[float, ...] | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.trial_count < 1:
-            raise ValueError(f"trial count must be >= 1, got {self.trial_count}")
-        if (self.statevector is None) == (self.marginals is None):
-            raise ValueError("exactly one of statevector or marginals must be set")
-        if self.marginals is not None:
-            if any(not 0 <= p <= 1 for p in self.marginals):
-                raise ValueError("marginals must lie in [0, 1]")
-
-
-def draw_trials(stream: TrialStream) -> list[tuple[int, ...]]:
-    if stream.statevector is not None:
-        return sample(stream.statevector, stream.trial_count, stream.seed)
-    assert stream.marginals is not None
-    return synthetic_trials(stream.marginals, stream.trial_count, stream.seed)
-
-
-@dataclass(frozen=True)
 class OptStep:
     step: int
     params: QaoaParams

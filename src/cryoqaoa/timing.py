@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+_NS_PER_S = 1e9
+
 
 @dataclass(frozen=True)
 class GateTimings:
@@ -87,11 +89,6 @@ class ExecutionProfile:
             raise ValueError(
                 f"parallelism must be in [1, {self.n_qubits}], got {self.parallelism}"
             )
-
-    @classmethod
-    def worst_case(cls, n: int, layers: int = 1) -> "ExecutionProfile":
-        """Shortest-execution shape: S=0, C=N-1, fully parallel."""
-        return cls(n_qubits=n, s=0, c=n - 1, layers=layers, parallelism=n)
 
     def layer_time_ns(self, timings: GateTimings) -> float:
         return layer_time_ns(timings, self.s, self.c, self.n_qubits)

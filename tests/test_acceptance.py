@@ -120,7 +120,7 @@ def randomized_suite():
     cases = []
     for _ in range(1000):
         instance, trials, b = _random_case(rng)
-        result = run_proposed(instance, trials, width_b=b, t_qc_ns=1.0)
+        result = run_proposed(instance, trials, width_b=b)
         direct = sampled_energy(instance, trials)
         cases.append((instance, trials, b, result, direct))
     return cases
@@ -145,7 +145,7 @@ def test_criterion_5_exactness(randomized_suite):
             instance = IsingInstance(n, linear, pairs)
             for t in range(1, 9):
                 trials = [strings[k % len(strings)] for k in range(t)]
-                result = run_proposed(instance, trials, width_b=2, t_qc_ns=1.0)
+                result = run_proposed(instance, trials, width_b=2)
                 assert result.energy == sampled_energy(instance, trials)
 
     # and every trial sequence outright, for generic small instances
@@ -153,14 +153,14 @@ def test_criterion_5_exactness(randomized_suite):
     for t in range(1, 9):
         for draw in itertools.product(range(2), repeat=t):
             trials = [(bit,) for bit in draw]
-            result = run_proposed(one, trials, width_b=2, t_qc_ns=1.0)
+            result = run_proposed(one, trials, width_b=2)
             assert result.energy == sampled_energy(one, trials)
     two = IsingInstance(2, linear={0: 2, 1: -3}, pairs={(0, 1): 5})
     strings2 = [(0, 0), (1, 0), (0, 1), (1, 1)]
     for t in range(1, 5):
         for draw in itertools.product(range(4), repeat=t):
             trials = [strings2[k] for k in draw]
-            result = run_proposed(two, trials, width_b=2, t_qc_ns=1.0)
+            result = run_proposed(two, trials, width_b=2)
             assert result.energy == sampled_energy(two, trials)
 
 

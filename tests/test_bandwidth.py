@@ -15,6 +15,7 @@ from cryoqaoa.bandwidth import (
     min_collection_time_ns,
     overhead_factor,
     reduction_ratio,
+    resolve_width,
     staircase_sweep,
 )
 from cryoqaoa.timing import DEFAULT_TIMINGS, GateTimings, circuit_time_ns
@@ -206,24 +207,26 @@ class TestStaircaseSweep:
         assert row.bw_proposed_bps == pytest.approx(row.bw_meas_bps * row.reduction_ratio)
 
 
+class TestResolveWidth:
+    def test_auto_width_from_budget(self):
+        assert resolve_width("auto", 1000, 0.05) == ChosenB(4, True)
+
+    def test_explicit_width_checked_against_budget(self):
+        assert resolve_width(4, 1000, 0.05) == ChosenB(4, True)
+        assert resolve_width(40, 100, 0.05) == ChosenB(40, False)
+
+    def test_auto_width_clamped_to_two_is_infeasible(self):
+        # the budget only admits b = 1, which is too narrow to stream an MSB
+        assert choose_b(1000, 0.002) == ChosenB(1, True)
+        assert resolve_width("auto", 1000, 0.002) == ChosenB(2, False)
+
+
 class TestBandwidthReport:
     def test_proposed_is_max_of_streams(self):
-        report = bandwidth_report(
-            DEFAULT_TIMINGS, 0, 7, 8, 1, 8, 32, trials=1000, b=4, t_c_ns=100.0
-        )
+        report = bandwidth_report(DEFAULT_TIMINGS, 0, 7, 8, 1, 8, 32, 1000, 4)
         assert report.bw_proposed_bps == max(report.bw_msb_bps, report.bw_non_msb_bps)
-        assert report.bw_non_msb_bps > report.bw_msb_bps  # tiny window dominates
+        assert report.reduction_ratio == report.bw_proposed_bps / report.bw_meas_bps
 
     def test_default_window_ties(self):
-        report = bandwidth_report(DEFAULT_TIMINGS, 0, 7, 8, 1, 8, 32, trials=1000, b=4)
+        report = bandwidth_report(DEFAULT_TIMINGS, 0, 7, 8, 1, 8, 32, 1000, 4)
         assert report.bw_proposed_bps == pytest.approx(report.bw_msb_bps, rel=1e-12)
-
-    def test_width_chosen_from_budget(self):
-        report = bandwidth_report(
-            DEFAULT_TIMINGS, 0, 7, 8, 1, 8, 32, trials=1000, overhead_budget=0.05
-        )
-        assert report.chosen_b == 4
-
-    def test_needs_width_or_budget(self):
-        with pytest.raises(ValueError, match="overhead budget"):
-            bandwidth_report(DEFAULT_TIMINGS, 0, 7, 8, 1, 8, 32, trials=1000)

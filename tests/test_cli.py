@@ -97,6 +97,26 @@ class TestRun:
         assert any(",readout" in line for line in lines)
         assert any(",msb" in line for line in lines)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--trials", "100", "--counter-bits", "40"),
+            ("--trials", "1000", "--overhead-budget", "0.002"),
+        ],
+        ids=["explicit-too-wide", "auto-clamped-to-2"],
+    )
+    def test_width_over_budget_reported_infeasible(self, capsys, flags):
+        code, out, _ = run_cli(capsys, "run", "--generator", "ring:8", *flags)
+        assert code == 0
+        assert summary_dict(out)["counter_bits_feasible"] == "false"
+
+    def test_non_finite_coefficient_exits_2_with_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.instance"
+        path.write_text("n = 2\n[pairs]\n0 1 = nan\n")
+        code, _, err = run_cli(capsys, "run", "--instance", str(path))
+        assert code == 2
+        assert "bad.instance:3" in err
+
     def test_config_comment_records_resolution(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--generator", "ring:4", "--trials", "16", "--seed", "3"

@@ -47,7 +47,6 @@ class TestBankConstruction:
         bank = CounterBank(4, 3, active_singles=[2, 0], active_pairs=[(3, 1), (0, 1)])
         assert bank.entry_order == [0, 2, (0, 1), (1, 3)]
         assert bank.m_in_use == 4
-        assert bank.provisioned_entries == 10  # N(N+1)/2
 
     def test_from_instance_skips_zero_coefficients(self):
         inst = IsingInstance(3, linear={0: 0, 1: 2}, pairs={(0, 1): -1, (1, 2): 0})
@@ -92,7 +91,7 @@ class TestRecordTrial:
             pairs={(0, 1): 1, (1, 2): 1, (3, 4): 1, (4, 5): 1},
         )
         trials = [tuple(int(b) for b in rng.integers(0, 2, 6)) for _ in range(300)]
-        result = run_proposed(inst, trials, width_b=4, t_qc_ns=1.0)
+        result = run_proposed(inst, trials, width_b=4)
         assert result.totals == direct_tallies(inst, trials)
 
 
@@ -120,7 +119,7 @@ class TestFlush:
         # M = 5 entries, b = 3: every 4-trial window moves exactly 5 bits
         inst = IsingInstance(5, linear={i: 1 for i in range(5)})
         trials = [(1, 1, 1, 1, 1)] * 32
-        result = run_proposed(inst, trials, width_b=3, t_qc_ns=1.0)
+        result = run_proposed(inst, trials, width_b=3)
         window = 4
         for start in range(len(trials) - window + 1):
             assert sum(result.bits_log[start : start + window]) == 5
@@ -173,13 +172,13 @@ class TestReadout:
 class TestCollection:
     def test_no_trials_all_zero(self):
         bank = CounterBank(3, 3, active_singles=[0, 1, 2])
-        result = collect_non_msbs(bank, RoomTempAccumulator(), t_c_ns=100.0)
+        result = collect_non_msbs(bank, RoomTempAccumulator())
         assert set(result.totals.values()) == {0}
 
     def test_path_instance_matches_oracle(self):
         inst = worstcase_instance(5)
         trials = synthetic_trials([0.3, 0.7, 0.5, 0.2, 0.9], 200, seed=11)
-        result = run_proposed(inst, trials, width_b=3, t_qc_ns=1.0)
+        result = run_proposed(inst, trials, width_b=3)
         assert result.totals == direct_tallies(inst, trials)
 
     def test_always_hit_entry_flushes_clean(self):
@@ -187,23 +186,9 @@ class TestCollection:
         inst = IsingInstance(1, linear={0: 1})
         b, k = 4, 9
         t = (1 << (b - 1)) * k
-        result = run_proposed(inst, [(1,)] * t, width_b=b, t_qc_ns=1.0)
+        result = run_proposed(inst, [(1,)] * t, width_b=b)
         assert result.totals[0] == t
         assert result.collection.events[0].recovered_value == 0
-
-    def test_bandwidth_and_smoothing_flag(self):
-        bank = CounterBank(2, 3, active_pairs=[(0, 1)])
-        with pytest.warns(UserWarning, match="smoothing bound"):
-            result = collect_non_msbs(bank, RoomTempAccumulator(), t_c_ns=10.0, t_qc_ns=100.0)
-        assert not result.smoothing_ok
-        assert result.bw_used_bps == pytest.approx(3 * 1 / 10e-9)
-
-    def test_window_at_bound_is_ok(self):
-        bank = CounterBank(2, 3, active_pairs=[(0, 1)])
-        result = collect_non_msbs(
-            bank, RoomTempAccumulator(), t_c_ns=3 * 4 * 100.0, t_qc_ns=100.0
-        )
-        assert result.smoothing_ok
 
 
 class TestEnergyEstimate:
@@ -215,7 +200,7 @@ class TestEnergyEstimate:
     def test_triangle_example(self):
         inst = IsingInstance(3, pairs={(0, 1): 1, (1, 2): 1, (0, 2): 1})
         trials = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
-        result = run_proposed(inst, trials, width_b=2, t_qc_ns=1.0)
+        result = run_proposed(inst, trials, width_b=2)
         assert result.energy == Fraction(3, 2)
         assert result.energy == sampled_energy(inst, trials)
 
@@ -268,7 +253,7 @@ def instance_and_trials(draw):
 @settings(max_examples=60, deadline=None)
 def test_counter_estimate_equals_sampled_energy(case):
     instance, trials, b = case
-    result = run_proposed(instance, trials, width_b=b, t_qc_ns=1.0)
+    result = run_proposed(instance, trials, width_b=b)
     assert result.energy == sampled_energy(instance, trials)
 
 
@@ -298,7 +283,7 @@ def test_reconstruction_exact_at_every_trial(case):
 @settings(max_examples=60, deadline=None)
 def test_smoothing_bounds(case):
     instance, trials, b = case
-    result = run_proposed(instance, trials, width_b=b, t_qc_ns=1.0)
+    result = run_proposed(instance, trials, width_b=b)
     m = result.m_in_use
     window = 1 << (b - 1)
     assert result.peak_bits_per_trial <= math.ceil(m / window) if m else True
@@ -313,7 +298,7 @@ def test_windowed_peak_rate_matches_reduction_ratio():
     trials = synthetic_trials([0.5] * 9, 400, seed=3)
     b = 4
     t_qc_ns = 750.0
-    result = run_proposed(inst, trials, width_b=b, t_qc_ns=t_qc_ns)
+    result = run_proposed(inst, trials, width_b=b)
     window = 1 << (b - 1)
     peak_window_bits = max(
         sum(result.bits_log[s : s + window])
@@ -328,7 +313,7 @@ def test_windowed_peak_rate_matches_reduction_ratio():
 def test_uneven_slice_sizes_still_cover_every_entry():
     # M = 5, window = 4: slices alternate 1 and 2 entries per trial
     inst = IsingInstance(5, linear={i: 1 for i in range(5)})
-    result = run_proposed(inst, [(1, 0, 1, 1, 0)] * 40, width_b=3, t_qc_ns=1.0)
+    result = run_proposed(inst, [(1, 0, 1, 1, 0)] * 40, width_b=3)
     assert set(result.bits_log) == {1, 2}
     assert result.totals == direct_tallies(inst, [(1, 0, 1, 1, 0)] * 40)
 
@@ -336,7 +321,7 @@ def test_uneven_slice_sizes_still_cover_every_entry():
 def test_trial_count_not_divisible_by_window():
     inst = worstcase_instance(6)
     trials = synthetic_trials([0.6] * 6, 101, seed=9)  # 101 = 12*8 + 5
-    result = run_proposed(inst, trials, width_b=4, t_qc_ns=1.0)
+    result = run_proposed(inst, trials, width_b=4)
     assert result.totals == direct_tallies(inst, trials)
     assert result.energy == sampled_energy(inst, trials)
 
@@ -355,7 +340,7 @@ def test_dropped_msb_breaks_reconstruction():
 
 def test_event_log_records_flushes():
     inst = IsingInstance(2, pairs={(0, 1): 1})
-    result = run_proposed(inst, [(1, 0)] * 8, width_b=3, t_qc_ns=1.0, log_events=True)
+    result = run_proposed(inst, [(1, 0)] * 8, width_b=3, log_events=True)
     assert result.flush_events is not None
     # M=1, window=4: flush slots at trials 4 and 8, both with MSB set
     assert [(t, msb) for t, _, msb in result.flush_events] == [(4, 1), (8, 1)]

@@ -1,0 +1,32 @@
+"""Byte-for-byte checks of the tracked figure data and the benchmark harness."""
+
+import runpy
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_make_figure_data_reproduces_tracked_out(tmp_path):
+    # The script writes next to its own location, so run a copy of it.
+    for name in ("scripts", "scenarios"):
+        shutil.copytree(ROOT / name, tmp_path / name)
+    runpy.run_path(str(tmp_path / "scripts" / "make_figure_data.py"), run_name="__main__")
+    tracked = sorted(path.name for path in (ROOT / "out").iterdir())
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == tracked
+    for name in tracked:
+        assert (tmp_path / "out" / name).read_bytes() == (ROOT / "out" / name).read_bytes(), name
+
+
+def test_bench_smoke():
+    result = subprocess.run(
+        [sys.executable, "bench/run.py", "--smoke"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    assert "smoke ok" in result.stdout

@@ -8,15 +8,12 @@ from cryoqaoa.ising import (
     IsingInstance,
     complete_instance,
     cost,
-    is_connected,
     load_edgelist,
     load_instance,
     make_instance,
     maxcut_instance,
-    parse_bits,
     ring_instance,
     sampled_energy,
-    save_instance,
     worstcase_instance,
 )
 
@@ -124,11 +121,8 @@ class TestGenerators:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_worstcase_connected(self, n):
-        assert is_connected(worstcase_instance(n))
-
-    def test_disconnected_detected(self):
-        inst = IsingInstance(4, pairs={(0, 1): 1, (2, 3): 1})
-        assert not is_connected(inst)
+        # the pairs form the path 0-1-...-(n-1), which spans every qubit
+        assert set(worstcase_instance(n).pairs) == {(i, i + 1) for i in range(n - 1)}
 
     def test_make_instance_specs(self):
         assert make_instance("ring:8").c_count == 8
@@ -193,22 +187,33 @@ def test_sampled_energy_is_exact_mean(inst, t, data):
 
 
 class TestFiles:
-    def test_round_trip(self, tmp_path):
-        inst = IsingInstance(
+    def test_load_mixed_coefficients(self, tmp_path):
+        path = tmp_path / "mix.instance"
+        path.write_text(
+            "n = 4\nlabel = mix\n[linear]\n0 = 2\n3 = -1/2\n[pairs]\n0 1 = -1\n2 3 = 1.5\n"
+        )
+        assert load_instance(path) == IsingInstance(
             4,
             linear={0: 2, 3: Fraction(-1, 2)},
             pairs={(0, 1): -1, (2, 3): 1.5},
             label="mix",
         )
-        path = tmp_path / "mix.instance"
-        save_instance(inst, path)
-        loaded = load_instance(path)
-        assert loaded == inst
 
-    def test_parse_error_has_line_number(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("n = 3\n[linear]\nnot-a-line\n", 3),
+            ("n = x\n", 1),
+            ("n = 2\n[pairs]\n0 1 = abc\n", 3),
+            ("n = 2\n[pairs]\n0 1 = nan\n", 3),
+            ("n = 2\n[linear]\n1 = -inf\n", 3),
+        ],
+        ids=["no-equals", "bad-n", "bad-coeff", "nan-coeff", "inf-coeff"],
+    )
+    def test_parse_error_has_line_number(self, tmp_path, text, line):
         path = tmp_path / "bad.instance"
-        path.write_text("n = 3\n[linear]\nnot-a-line\n")
-        with pytest.raises(ValueError, match=r"bad\.instance:3"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.instance:{line}: "):
             load_instance(path)
 
     def test_unknown_section(self, tmp_path):
@@ -242,9 +247,3 @@ class TestFiles:
         path.write_text("0 1 2\n")
         with pytest.raises(ValueError, match=r"graph\.edges:1"):
             load_edgelist(path)
-
-
-def test_parse_bits():
-    assert parse_bits("0101") == (0, 1, 0, 1)
-    with pytest.raises(ValueError, match="invalid bit"):
-        parse_bits("01x1")

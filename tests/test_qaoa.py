@@ -8,9 +8,7 @@ from scipy import stats
 from cryoqaoa.ising import IsingInstance, cost, maxcut_instance
 from cryoqaoa.qaoa import (
     QaoaParams,
-    TrialStream,
     bits_to_index,
-    draw_trials,
     index_to_bits,
     optimize,
     prepare_state,
@@ -157,23 +155,15 @@ class TestSynthetic:
 
 
 class TestTrialStream:
-    def test_exactly_one_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            TrialStream(trial_count=10)
-        with pytest.raises(ValueError, match="exactly one"):
-            TrialStream(
-                trial_count=10, statevector=np.array([1.0 + 0j]), marginals=(0.5,)
-            )
+    """Both trial sources draw a deterministic stream of bit tuples."""
 
     def test_synthetic_stream_draws(self):
-        stream = TrialStream(trial_count=6, marginals=(0.0, 1.0), seed=2)
-        assert draw_trials(stream) == [(0, 1)] * 6
+        assert synthetic_trials((0.0, 1.0), 6, seed=2) == [(0, 1)] * 6
 
     def test_exact_stream_draws(self):
         state = np.zeros(4, dtype=complex)
         state[2] = 1.0
-        stream = TrialStream(trial_count=3, statevector=state, seed=0)
-        assert draw_trials(stream) == [(0, 1)] * 3
+        assert sample(state, 3, seed=0) == [(0, 1)] * 3
 
 
 class TestOptimize:

