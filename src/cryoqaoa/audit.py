@@ -8,7 +8,9 @@ plain-dict tally and checks, at every trial boundary:
 
 then at the end: every sliding 2^(b-1)-trial window carried exactly M
 bits, collected totals match the tally, the counter energy equals the
-directly sampled energy exactly, and readout round-trips.  The first
+directly sampled energy exactly, the closed-form ledger of
+``run_proposed`` (the production path) reproduces the bank's bit log,
+flush events and totals, and readout round-trips.  The first
 failing trial is reported and the failing prefix is kept as the
 counterexample (checks are per-trial, so the prefix up to the divergence
 is already minimal).
@@ -29,6 +31,7 @@ from .counters import (
     collect_non_msbs,
     counter_energy_estimate,
     readout_entry,
+    run_proposed,
 )
 from .ising import BitString, IsingInstance, format_bits, sampled_energy
 
@@ -75,6 +78,7 @@ def check_case(
         )
 
     bank = CounterBank.for_instance(instance, width_b, fault=fault)
+    bank.event_log = []
     accumulator = RoomTempAccumulator()
     tally = {e: 0 for e in bank.entry_order}
     window = bank.flush_window
@@ -131,7 +135,33 @@ def check_case(
                 f"counter estimate {counter_energy} != sampled energy {direct_energy}",
                 len(trials) - 1,
             )
+
+    ledger = run_proposed(instance, trials, width_b, log_events=True)
+    k = _first_mismatch(ledger.bits_log, tuple(bits_log))
+    if k is not None:
+        return violation(
+            "ledger", f"trial {k}: ledger sent {ledger.bits_log[k]} bits, bank {bits_log[k]}", k
+        )
+    k = _first_mismatch(ledger.flush_events, tuple(bank.event_log))
+    if k is not None:
+        ours, theirs = ledger.flush_events[k], bank.event_log[k]
+        return violation(
+            "ledger", f"flush {k}: ledger {ours}, bank {theirs}", min(ours[0], theirs[0]) - 1
+        )
+    if ledger.totals != collection.totals:
+        return violation(
+            "ledger",
+            f"ledger totals {ledger.totals} != bank totals {collection.totals}",
+            len(trials) - 1 if trials else None,
+        )
     return None
+
+
+def _first_mismatch(ours: tuple, theirs: tuple) -> int | None:
+    """First index where two equally long tuples differ, else None."""
+    if ours == theirs:
+        return None
+    return next(k for k, (a, b) in enumerate(zip(ours, theirs)) if a != b)
 
 
 def check_readout_roundtrip(b_values: Sequence[int]) -> AuditViolation | None:
@@ -171,7 +201,7 @@ def random_trials(
 ) -> list[tuple[int, ...]]:
     t = int(rng.integers(1, t_max + 1))
     bits = rng.integers(0, 2, size=(t, n))
-    return [tuple(int(b) for b in row) for row in bits]
+    return list(map(tuple, bits.tolist()))
 
 
 def cyclic_trials(n: int, t: int) -> list[tuple[int, ...]]:

@@ -15,11 +15,14 @@ then a header row; output is byte-stable for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
+
+import numpy as np
 
 from . import audit as audit_mod
 from . import bandwidth, counters, power, qaoa, timing
@@ -76,8 +79,14 @@ def _resolve_instance(config: ScenarioConfig) -> IsingInstance:
     return make_instance(config.generator)
 
 
-def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> list[tuple[int, ...]]:
+def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> np.ndarray:
     n = instance.n_qubits
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if config.trials * n > memory:
+        raise ValueError(
+            f"the T={config.trials} x N={n} trial matrix needs {config.trials * n} bytes, "
+            f"more than physical memory ({memory} bytes)"
+        )
     source = config.source
     if source == "auto":
         source = "exact" if n <= config.statevector_limit else "synthetic"
@@ -201,21 +210,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     _emit(lines, args.out, args.quiet)
 
     if args.trace is not None:
-        rows = []
-        bits_by_trial = proposed.bits_log
-        for trial, entry_id, msb in proposed.flush_events or ():
-            rows.append(
-                (trial, bits_by_trial[trial - 1], _entry_id_str(entry_id), f"msb{msb}")
-            )
-        for event in proposed.collection.events:
-            rows.append(
-                (len(trials), proposed.width_b, _entry_id_str(event.entry_id), "readout")
-            )
-        _emit(
-            _csv_lines(config_comment, ["trial", "bits_sent", "entry_id", "event"], rows),
-            args.trace,
-            args.quiet,
-        )
+        names = {e: _entry_id_str(e) for e in proposed.totals}
+        bits_log = proposed.bits_log
+        trace = [config_comment, "trial,bits_sent,entry_id,event"]
+        trace += [
+            f"{trial},{bits_log[trial - 1]},{names[e]},msb{msb}"
+            for trial, e, msb in proposed.flush_events or ()
+        ]
+        trace += [
+            f"{len(trials)},{proposed.width_b},{names[event.entry_id]},readout"
+            for event in proposed.collection.events
+        ]
+        _emit(trace, args.trace, args.quiet)
 
     if not energies_equal:
         print("invariant violation: counter energy differs from baseline", file=sys.stderr)
@@ -391,6 +397,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except counters.LedgerError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

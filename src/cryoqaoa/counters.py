@@ -18,15 +18,32 @@ next flush: no carry is ever lost.
 The model counts bits and trials only, not time: the schedule depends on
 the trial index alone.  Rates, circuit times and the collection window
 live in ``bandwidth``.
+
+Two implementations share these rules.  ``CounterBank`` steps the entries
+trial by trial; it is the reference model and the audit oracle, and holds
+the fault hooks.  ``run_proposed``, the production path, derives the same
+transfers in closed form from each entry's running tally (see
+``run_proposed``) and never builds a bank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .ising import BitString, Coeff, IsingInstance, sampled_energy
+import numpy as np
+
+from .ising import (
+    BitString,
+    Coeff,
+    IsingInstance,
+    Trials,
+    row_chunks,
+    sampled_energy,
+    term_hits,
+    trial_array,
+)
 
 EntryId = int | tuple[int, int]
 
@@ -59,7 +76,6 @@ class RoomTempAccumulator:
 
     def __init__(self) -> None:
         self.upper_counts: dict[EntryId, int] = {}
-        self.received_bits_log: list[int] = []
 
     def add_unit(self, entry_id: EntryId) -> None:
         self.upper_counts[entry_id] = self.upper_counts.get(entry_id, 0) + 1
@@ -113,13 +129,8 @@ class CounterBank:
         cls, instance: IsingInstance, width_b: int, fault: str | None = None
     ) -> "CounterBank":
         """Wire one entry per nonzero coefficient of the instance."""
-        return cls(
-            n_qubits=instance.n_qubits,
-            width_b=width_b,
-            active_singles=[i for i, v in instance.linear.items() if v != 0],
-            active_pairs=[p for p, v in instance.pairs.items() if v != 0],
-            fault=fault,
-        )
+        singles, pairs = _active_terms(instance)
+        return cls(instance.n_qubits, width_b, singles, pairs, fault=fault)
 
     @property
     def m_in_use(self) -> int:
@@ -159,7 +170,6 @@ class CounterBank:
         m = self.m_in_use
         window = self.flush_window
         if m == 0:
-            accumulator.received_bits_log.append(0)
             return 0
         target = self.trial_index * m // window
         bits = target - self._slots_issued
@@ -178,13 +188,14 @@ class CounterBank:
                 self.event_log.append((self.trial_index, e, msb))
             self._cursor = (self._cursor + 1) % m
         self._slots_issued = target
-        accumulator.received_bits_log.append(bits)
         return bits
 
-    def step(self, z: BitString, accumulator: RoomTempAccumulator) -> int:
-        """Record one trial and run its flush slice; returns bits sent."""
-        self.record_trial(z)
-        return self.flush_msbs(accumulator)
+
+def _active_terms(instance: IsingInstance) -> tuple[list[int], list[tuple[int, int]]]:
+    """Sorted linear and pair terms with a nonzero coefficient: the entries."""
+    singles = sorted(i for i, v in instance.linear.items() if v != 0)
+    pairs = sorted(p for p, v in instance.pairs.items() if v != 0)
+    return singles, pairs
 
 
 def readout_entry(entry: CounterEntry, entry_id: EntryId | None = None) -> ReadoutEvent:
@@ -261,7 +272,7 @@ class BaselineRun:
     trial_count: int
 
 
-def run_baseline(instance: IsingInstance, trials: Sequence[BitString]) -> BaselineRun:
+def run_baseline(instance: IsingInstance, trials: Trials) -> BaselineRun:
     """Per-trial readout: every trial ships all N measurement bits warm-side."""
     energy = sampled_energy(instance, trials)
     n = instance.n_qubits
@@ -287,33 +298,86 @@ class ProposedRun:
     flush_events: tuple[tuple[int, EntryId, int], ...] | None = None
 
 
+class LedgerError(RuntimeError):
+    """The closed-form ledger derived an impossible transfer."""
+
+
 def run_proposed(
     instance: IsingInstance,
-    trials: Sequence[BitString],
+    trials: Trials,
     width_b: int,
     log_events: bool = False,
 ) -> ProposedRun:
-    """Drive the counter bank over all trials, then collect and estimate."""
-    bank = CounterBank.for_instance(instance, width_b)
-    if log_events:
-        bank.event_log = []
-    accumulator = RoomTempAccumulator()
-    for z in trials:
-        bank.step(z, accumulator)
-    collection = collect_non_msbs(bank, accumulator)
-    energy = None
-    if len(trials) > 0:
-        energy = counter_energy_estimate(instance, collection.totals, len(trials))
-    bits_log = tuple(accumulator.received_bits_log)
+    """Counter-bank transfers over all trials in closed form, then collect
+    and estimate.
+
+    With W = 2^(b-1) and M entries, slot s flushes entry s mod M right after
+    trial ceil((s+1)W/M), so trial t sends floor(tM/W) - floor((t-1)M/W)
+    bits.  An entry is below W right after its own flush, so its warm units
+    are then floor(C/W), C being its running tally; each MSB is the
+    difference of two such floors.  The residual is the cold register's
+    modular value (C(T) - units*W) mod 2^b, so an entry that overflowed
+    between flushes breaks the energy identity instead of being repaired.
+    Tallies are carried across row chunks and read only at flush trials.
+    """
+    if width_b < 2:
+        raise ValueError(f"counter width must be >= 2, got {width_b}")
+    z = trial_array(trials, instance.n_qubits)
+    t = len(z)
+    singles, pairs = _active_terms(instance)
+    entry_order: list[EntryId] = [*singles, *pairs]
+    m = len(entry_order)
+    window = 1 << (width_b - 1)
+    single_idx = np.array(singles, dtype=np.intp)
+    pair_idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    tally = np.zeros(m, dtype=np.int64)
+    units = np.zeros(m, dtype=np.int64)
+    events: list[tuple[int, EntryId, int]] | None = [] if log_events else None
+    for start, stop in row_chunks(t, m):
+        # tallies within the chunk; a chunk has at most CHUNK_CELLS rows
+        cum = np.cumsum(term_hits(z[start:stop], single_idx, pair_idx), axis=0, dtype=np.int32)
+        base, tally = tally, tally + cum[-1]
+        slots = np.arange(start * m // window, stop * m // window)
+        if len(slots) == 0:
+            continue
+        entry = slots % m
+        trial = ((slots + 1) * window + m - 1) // m
+        after = (base[entry] + cum[trial - 1 - start, entry]) // window
+        # the previous flush of slot s's entry is slot s - M
+        before = np.concatenate((units[entry[:m]], after[: max(len(slots) - m, 0)]))
+        msb = after - before
+        bad = np.flatnonzero((msb < 0) | (msb > 1))
+        if len(bad):
+            k = int(bad[0])
+            raise LedgerError(
+                f"derived MSB {int(msb[k])} for entry {entry_order[int(entry[k])]} "
+                f"at trial {int(trial[k])}"
+            )
+        units[entry[-m:]] = after[-m:]
+        if events is not None:
+            events.extend(
+                zip(trial.tolist(), [entry_order[e] for e in entry.tolist()], msb.tolist())
+            )
+
+    size = 1 << width_b
+    totals: dict[EntryId, int] = {}
+    readouts = []
+    for e, count, unit in zip(entry_order, tally.tolist(), units.tolist()):
+        event = readout_entry(CounterEntry(width_b, (count - unit * window) % size), e)
+        readouts.append(event)
+        totals[e] = unit * window + event.recovered_value
+    energy = counter_energy_estimate(instance, totals, t) if t > 0 else None
+    # a window above t*M issues no slot; capping it keeps the int64 math in range
+    bits = np.diff(np.arange(t + 1, dtype=np.int64) * m // min(window, t * m + 1))
     return ProposedRun(
         energy=energy,
-        totals=collection.totals,
-        bits_log=bits_log,
-        peak_bits_per_trial=max(bits_log, default=0),
-        total_msb_bits=sum(bits_log),
-        collection=collection,
+        totals=totals,
+        bits_log=tuple(bits.tolist()),
+        peak_bits_per_trial=int(bits.max(initial=0)),
+        total_msb_bits=t * m // window,
+        collection=CollectionResult(totals=totals, events=tuple(readouts)),
         width_b=width_b,
-        m_in_use=bank.m_in_use,
-        trial_count=len(trials),
-        flush_events=tuple(bank.event_log) if bank.event_log is not None else None,
+        m_in_use=m,
+        trial_count=t,
+        flush_events=tuple(events) if events is not None else None,
     )

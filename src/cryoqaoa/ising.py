@@ -19,10 +19,17 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Coeff = int | float | Fraction
 BitString = Sequence[int]
+Trials = np.ndarray | Sequence[BitString]
+
+# Cells (rows x columns) per chunk when a trial matrix or a per-term
+# matrix derived from it is processed in row chunks.
+CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -92,19 +99,60 @@ def cost(instance: IsingInstance, z: BitString) -> Coeff:
     return total
 
 
-def sampled_energy(instance: IsingInstance, trials: Sequence[BitString]) -> Coeff:
-    """Average cost over a nonempty trial sequence.
+def trial_array(trials: Trials, n_qubits: int) -> np.ndarray:
+    """Trials as a (T, N) uint8 array, row t = bitstring t, column i = qubit i.
 
-    Integer-coefficient instances yield an exact ``Fraction``.
+    A uint8 array passes through without a copy; a sequence of rows is
+    converted.
+    """
+    z = np.asarray(trials, dtype=np.uint8)
+    if z.shape == (0,):
+        z = z.reshape(0, n_qubits)
+    if z.ndim != 2 or z.shape[1] != n_qubits:
+        raise ValueError(
+            f"trial rows of shape {z.shape[1:]} do not match n_qubits {n_qubits}"
+        )
+    return z
+
+
+def row_chunks(t: int, width: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) row ranges over t rows, at most CHUNK_CELLS cells each."""
+    step = max(1, CHUNK_CELLS // max(width, 1))
+    for start in range(0, t, step):
+        yield start, min(start + step, t)
+
+
+def term_hits(z: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Hit matrix of a chunk of trial rows, one column per term.
+
+    ``singles`` holds qubit indices, hit where z[:, i] is set; ``pairs`` is a
+    (C, 2) index array, hit where z[:, i] ^ z[:, j] is set.
+    """
+    return np.concatenate((z[:, singles], z[:, pairs[:, 0]] ^ z[:, pairs[:, 1]]), axis=1)
+
+
+def sampled_energy(instance: IsingInstance, trials: Trials) -> Coeff:
+    """Average cost over a nonempty set of trials (a 2-D bit array or rows).
+
+    Counts the hits of every term, then sums coefficient * count with
+    Python numbers, so integer-coefficient instances yield an exact
+    ``Fraction``.
     """
     if len(trials) == 0:
         raise ValueError("trials must be nonempty")
+    z = trial_array(trials, instance.n_qubits)
+    singles = np.array(list(instance.linear), dtype=np.intp)
+    pairs = np.array(list(instance.pairs), dtype=np.intp).reshape(-1, 2)
+    counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
+    for start, stop in row_chunks(len(z), len(counts)):
+        counts += term_hits(z[start:stop], singles, pairs).sum(axis=0, dtype=np.int64)
     total: Coeff = 0
-    for z in trials:
-        total = total + cost(instance, z)
+    coeffs = [*instance.linear.values(), *instance.pairs.values()]
+    for coeff, count in zip(coeffs, counts.tolist()):
+        total = total + coeff * count
     if isinstance(total, int):
-        return Fraction(total, len(trials))
-    return total / len(trials)
+        return Fraction(total, len(z))
+    return total / len(z)
 
 
 def maxcut_instance(edges: Iterable[tuple[int, int]], n: int) -> IsingInstance:

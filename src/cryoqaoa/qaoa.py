@@ -1,7 +1,8 @@
 """Exact statevector simulation of the alternating-operator circuit.
 
-Basis convention: qubit i is bit i of the amplitude index (little-endian),
-so bitstring tuples index positionally, z[i] = qubit i.  The phase
+Basis convention: qubit i is bit i of the amplitude index (little-endian).
+Both trial sources return a (T, N) uint8 array: row t is trial t and
+column i is qubit i, so a row z has z[i] = qubit i.  The phase
 separator applies exp(-i*gamma*cost(z)) per basis state with the classical
 cost; the mixer applies exp(-i*beta*X) on every qubit.  Sampling uses
 inverse-CDF draws on the raw PCG64 uniform stream, which numpy keeps
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ising import IsingInstance, cost, sampled_energy
+from .ising import IsingInstance, row_chunks, sampled_energy
 
 DEFAULT_MAX_QUBITS = 16
 
@@ -48,18 +49,6 @@ class QaoaParams:
     @property
     def n_layers(self) -> int:
         return len(self.gammas)
-
-
-def index_to_bits(index: int, n: int) -> tuple[int, ...]:
-    return tuple((index >> i) & 1 for i in range(n))
-
-
-def bits_to_index(z: Sequence[int]) -> int:
-    index = 0
-    for i, bit in enumerate(z):
-        if bit:
-            index |= 1 << i
-    return index
 
 
 def phase_costs(instance: IsingInstance) -> np.ndarray:
@@ -110,10 +99,11 @@ def prepare_state(
     return state
 
 
-def sample(
-    state: np.ndarray, t: int, seed: int | np.random.SeedSequence
-) -> list[tuple[int, ...]]:
-    """Draw t independent bitstrings from |amplitude|^2, deterministically."""
+def sample(state: np.ndarray, t: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """Draw t independent bitstrings from |amplitude|^2, deterministically.
+
+    Returns a (t, N) uint8 array; column i is bit i of the drawn index.
+    """
     if t < 1:
         raise ValueError(f"trial count must be >= 1, got {t}")
     size = len(state)
@@ -126,14 +116,21 @@ def sample(
     cum[-1] = 1.0
     uniforms = np.random.default_rng(seed).random(t)
     draws = np.searchsorted(cum, uniforms, side="right")
-    draws = np.minimum(draws, size - 1)
-    return [index_to_bits(int(d), n) for d in draws]
+    np.minimum(draws, size - 1, out=draws)
+    bits = np.empty((t, n), dtype=np.uint8)
+    for i in range(n):
+        bits[:, i] = (draws >> i) & 1
+    return bits
 
 
 def synthetic_trials(
     marginals: Sequence[float], t: int, seed: int | np.random.SeedSequence
-) -> list[tuple[int, ...]]:
-    """Deterministic Bernoulli bitstrings with the given per-qubit one-rates."""
+) -> np.ndarray:
+    """Deterministic Bernoulli bitstrings with the given per-qubit one-rates.
+
+    Returns a (t, N) uint8 array.  The uniforms are drawn in row chunks,
+    which consume the generator stream exactly as one (t, N) draw would.
+    """
     if t < 1:
         raise ValueError(f"trial count must be >= 1, got {t}")
     p = np.asarray(marginals, dtype=float)
@@ -141,9 +138,11 @@ def synthetic_trials(
         raise ValueError("marginals must be a nonempty 1-D sequence")
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("marginals must lie in [0, 1]")
-    uniforms = np.random.default_rng(seed).random((t, len(p)))
-    bits = uniforms < p
-    return [tuple(int(b) for b in row) for row in bits]
+    rng = np.random.default_rng(seed)
+    bits = np.empty((t, len(p)), dtype=np.uint8)
+    for start, stop in row_chunks(t, len(p)):
+        np.less(rng.random((stop - start, len(p))), p, out=bits[start:stop])
+    return bits
 
 
 @dataclass(frozen=True)

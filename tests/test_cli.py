@@ -117,6 +117,31 @@ class TestRun:
         assert code == 2
         assert "bad.instance:3" in err
 
+    def test_trial_matrix_beyond_memory_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "run",
+            "--generator",
+            "path:750",
+            "--source",
+            "synthetic",
+            "--trials",
+            "1000000000000",
+        )
+        assert code == 2
+        assert "T=1000000000000" in err and "N=750" in err
+
+    def test_impossible_ledger_transfer_exits_1(self, capsys, monkeypatch):
+        import cryoqaoa.counters as counters
+
+        real = counters.term_hits
+        monkeypatch.setattr(counters, "term_hits", lambda *args: 2 * real(*args))
+        code, _, err = run_cli(
+            capsys, "run", "--generator", "ring:4", "--trials", "64", "--counter-bits", "3"
+        )
+        assert code == 1
+        assert "invariant violation: derived MSB" in err
+
     def test_config_comment_records_resolution(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--generator", "ring:4", "--trials", "16", "--seed", "3"
@@ -219,6 +244,28 @@ class TestAudit:
         text = dump.read_text()
         assert "divergence_trial =" in text
         assert "[trials]" in text
+
+    def test_diverging_ledger_named_with_its_trial(self, capsys, monkeypatch, tmp_path):
+        import dataclasses
+
+        import cryoqaoa.audit as audit
+
+        real = audit.run_proposed
+
+        def skewed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            log = list(result.bits_log)
+            k = min(3, len(log) - 1)
+            log[k] += 1
+            return dataclasses.replace(result, bits_log=tuple(log))
+
+        monkeypatch.setattr(audit, "run_proposed", skewed)
+        dump = tmp_path / "cex.txt"
+        code, _, err = run_cli(
+            capsys, "audit", "--cases", "5", "--seed", "2", "--counterexample", str(dump)
+        )
+        assert code == 1
+        assert "invariant violation [ledger] at trial 3: trial 3: ledger sent 2 bits" in err
 
     def test_exhaustive_small(self, capsys):
         code, out, _ = run_cli(

@@ -15,7 +15,7 @@ from cryoqaoa.counters import (
     run_baseline,
     run_proposed,
 )
-from cryoqaoa.ising import IsingInstance, sampled_energy, worstcase_instance
+from cryoqaoa.ising import CHUNK_CELLS, IsingInstance, sampled_energy, worstcase_instance
 from cryoqaoa.qaoa import synthetic_trials
 
 
@@ -29,6 +29,28 @@ def direct_tallies(instance, trials):
         if v != 0:
             tallies[(i, j)] = sum(1 for z in trials if z[i] != z[j])
     return tallies
+
+
+def drive_bank(instance, trials, b):
+    """Reference run: step a CounterBank trial by trial, then collect."""
+    bank = CounterBank.for_instance(instance, b)
+    bank.event_log = []
+    acc = RoomTempAccumulator()
+    bits_log = []
+    for z in trials:
+        bank.record_trial(z)
+        bits_log.append(bank.flush_msbs(acc))
+    collection = collect_non_msbs(bank, acc)
+    return tuple(bits_log), tuple(bank.event_log), collection
+
+
+def assert_ledger_matches_bank(instance, trials, b):
+    result = run_proposed(instance, trials, width_b=b, log_events=True)
+    bits_log, events, collection = drive_bank(instance, trials, b)
+    assert result.bits_log == bits_log
+    assert result.flush_events == events
+    assert result.totals == collection.totals
+    assert result.collection.events == collection.events
 
 
 class TestCounterEntry:
@@ -267,7 +289,8 @@ def test_reconstruction_exact_at_every_trial(case):
     tally = {e: 0 for e in bank.entry_order}
     window = bank.flush_window
     for z in trials:
-        bank.step(z, acc)
+        bank.record_trial(z)
+        bank.flush_msbs(acc)
         for e in tally:
             if isinstance(e, tuple):
                 tally[e] += int(z[e[0]] != z[e[1]])
@@ -356,6 +379,42 @@ def test_entry_below_half_after_its_own_flush(case):
     half = bank.flush_window
     for z in trials:
         seen = len(bank.event_log)
-        bank.step(z, acc)
+        bank.record_trial(z)
+        bank.flush_msbs(acc)
         for _, entry_id, _ in bank.event_log[seen:]:
             assert bank.entries[entry_id].value < half
+
+
+@given(instance_and_trials())
+@settings(max_examples=60, deadline=None)
+def test_ledger_equals_bank_driven_per_trial(case):
+    instance, trials, b = case
+    assert_ledger_matches_bank(instance, trials, b)
+
+
+@pytest.mark.parametrize("b", [2, 5, 9])
+def test_ledger_across_chunk_boundary(b):
+    # path:40 at T = 10000 spans two row chunks of the ledger
+    inst = worstcase_instance(40)
+    trials = synthetic_trials(np.linspace(0.1, 0.9, 40), 10_000, seed=b)
+    assert len(trials) * inst.terms_in_use > CHUNK_CELLS
+    assert_ledger_matches_bank(inst, trials, b)
+    assert run_proposed(inst, trials, width_b=b).energy == sampled_energy(inst, trials)
+
+
+def test_ledger_accepts_rows_and_arrays_alike():
+    inst = IsingInstance(3, linear={1: 2}, pairs={(0, 2): -1})
+    rows = [(1, 0, 1), (0, 1, 1), (1, 1, 0)]
+    a = run_proposed(inst, rows, width_b=2, log_events=True)
+    b = run_proposed(inst, np.array(rows, dtype=np.uint8), width_b=2, log_events=True)
+    assert (a.bits_log, a.flush_events, a.totals) == (b.bits_log, b.flush_events, b.totals)
+    with pytest.raises(ValueError, match="n_qubits"):
+        run_proposed(inst, [(1, 0)], width_b=2)
+
+
+def test_ledger_width_beyond_int64():
+    # 2^(b-1) far above T*M: no MSB is ever streamed, every tally is residual
+    inst = IsingInstance(3, linear={0: 1}, pairs={(1, 2): -2})
+    trials = [(1, 0, 1), (1, 1, 1), (0, 1, 0)]
+    assert_ledger_matches_bank(inst, trials, 70)
+    assert run_proposed(inst, trials, width_b=70).bits_log == (0, 0, 0)

@@ -1,10 +1,12 @@
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cryoqaoa.ising import (
+    CHUNK_CELLS,
     IsingInstance,
     complete_instance,
     cost,
@@ -184,6 +186,34 @@ def test_sampled_energy_is_exact_mean(inst, t, data):
     ]
     total = sum(cost(inst, z) for z in trials)
     assert sampled_energy(inst, trials) == Fraction(total, t)
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_sampled_energy_across_chunks_matches_per_trial_cost(kind):
+    # per-term counts over several row chunks against the per-trial loop
+    rng = np.random.default_rng(12)
+    n, t = 40, 10_000
+    linear = {i: int(rng.integers(-5, 6)) for i in range(0, n, 3)}
+    pairs = {(i, i + 1): int(rng.integers(-5, 6)) for i in range(n - 1)}
+    if kind == "float":
+        linear = {i: v * 0.37 for i, v in linear.items()}
+        pairs = {p: v / 3.1 for p, v in pairs.items()}
+    inst = IsingInstance(n, linear, pairs)
+    trials = rng.integers(0, 2, size=(t, n)).astype(np.uint8)
+    assert t * (len(linear) + len(pairs)) > CHUNK_CELLS
+    direct = sum(cost(inst, z) for z in trials.tolist())
+    energy = sampled_energy(inst, trials)
+    if kind == "int":
+        assert energy == Fraction(direct, t)
+    else:
+        # summed per term instead of per trial: equal to within rounding
+        scale = sum(abs(v) for v in [*linear.values(), *pairs.values()])
+        assert abs(energy - direct / t) <= 1e-12 * scale
+
+
+def test_sampled_energy_rejects_wrong_width():
+    with pytest.raises(ValueError, match="n_qubits"):
+        sampled_energy(TRIANGLE, np.zeros((4, 2), dtype=np.uint8))
 
 
 class TestFiles:

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from cryoqaoa.ising import IsingInstance, cost, maxcut_instance
+from cryoqaoa.ising import CHUNK_CELLS, IsingInstance, cost, maxcut_instance
 from cryoqaoa.qaoa import (
     QaoaParams,
-    bits_to_index,
-    index_to_bits,
     optimize,
     prepare_state,
     sample,
@@ -17,6 +15,17 @@ from cryoqaoa.qaoa import (
 )
 
 EDGE = maxcut_instance([(0, 1)], 2)
+
+
+def basis_indices(bits):
+    """Basis index of every trial row: qubit i is bit i."""
+    return bits.astype(np.int64) @ (1 << np.arange(bits.shape[1]))
+
+
+def assert_trials(bits, expected):
+    assert bits.dtype == np.uint8
+    assert bits.shape == np.shape(expected)
+    assert np.array_equal(bits, expected)
 
 
 class TestParams:
@@ -80,46 +89,47 @@ class TestPrepareState:
 
 def test_bit_index_round_trip():
     for k in range(16):
-        assert bits_to_index(index_to_bits(k, 4)) == k
-    assert index_to_bits(1, 3) == (1, 0, 0)  # qubit 0 is the low bit
+        state = np.zeros(16, dtype=complex)
+        state[k] = 1.0
+        assert basis_indices(sample(state, 1, seed=0)).tolist() == [k]
+    state = np.zeros(8, dtype=complex)
+    state[1] = 1.0
+    assert sample(state, 1, seed=0).tolist() == [[1, 0, 0]]  # qubit 0 is the low bit
 
 
 class TestSample:
     def test_basis_state_always_drawn(self):
         state = np.zeros(8, dtype=complex)
         state[5] = 1.0
-        draws = sample(state, 20, seed=4)
-        assert all(z == (1, 0, 1) for z in draws)
+        assert_trials(sample(state, 20, seed=4), [(1, 0, 1)] * 20)
 
     def test_same_seed_same_sequence(self):
         state = prepare_state(EDGE, QaoaParams((0.4,), (0.9,)))
-        assert sample(state, 50, seed=7) == sample(state, 50, seed=7)
+        assert_trials(sample(state, 50, seed=7), sample(state, 50, seed=7))
 
     def test_different_seed_differs(self):
         state = prepare_state(EDGE, QaoaParams((0.4,), (0.9,)))
-        assert sample(state, 50, seed=7) != sample(state, 50, seed=8)
+        draws = sample(state, 50, seed=7)
+        assert draws.dtype == np.uint8 and draws.shape == (50, 2)
+        assert not np.array_equal(draws, sample(state, 50, seed=8))
 
     def test_uniform_frequencies_within_five_sigma(self):
         n, t = 3, 100_000
         state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
         draws = sample(state, t, seed=123)
+        assert draws.dtype == np.uint8 and draws.shape == (t, n)
         p = 1 / (1 << n)
         sigma = math.sqrt(p * (1 - p) / t)
-        counts = {}
-        for z in draws:
-            counts[z] = counts.get(z, 0) + 1
+        counts = np.bincount(basis_indices(draws), minlength=1 << n)
         for k in range(1 << n):
-            freq = counts.get(index_to_bits(k, n), 0) / t
-            assert abs(freq - p) < 5 * sigma
+            assert abs(counts[k] / t - p) < 5 * sigma
 
     def test_chi_square_against_amplitudes(self):
         inst = maxcut_instance([(0, 1), (1, 2), (2, 3), (0, 3)], 4)
         state = prepare_state(inst, QaoaParams((0.8,), (0.6,)))
         t = 100_000
         draws = sample(state, t, seed=99)
-        observed = np.zeros(16)
-        for z in draws:
-            observed[bits_to_index(z)] += 1
+        observed = np.bincount(basis_indices(draws), minlength=16).astype(float)
         expected = np.abs(state) ** 2 * t
         keep = expected > 1e-9  # chi-square undefined on zero-probability cells
         result = stats.chisquare(observed[keep], expected[keep] * observed[keep].sum() / expected[keep].sum())
@@ -132,10 +142,10 @@ class TestSample:
 
 class TestSynthetic:
     def test_all_zero_marginals(self):
-        assert synthetic_trials([0.0] * 4, 10, seed=0) == [(0, 0, 0, 0)] * 10
+        assert_trials(synthetic_trials([0.0] * 4, 10, seed=0), [(0, 0, 0, 0)] * 10)
 
     def test_all_one_marginals(self):
-        assert synthetic_trials([1.0] * 3, 5, seed=0) == [(1, 1, 1)] * 5
+        assert_trials(synthetic_trials([1.0] * 3, 5, seed=0), [(1, 1, 1)] * 5)
 
     def test_half_marginals_within_five_sigma(self):
         n, t = 64, 10_000
@@ -145,9 +155,17 @@ class TestSynthetic:
         assert np.all(np.abs(means - 0.5) < 5 * sigma)
 
     def test_deterministic(self):
-        assert synthetic_trials([0.3, 0.7], 20, seed=5) == synthetic_trials(
-            [0.3, 0.7], 20, seed=5
+        assert_trials(
+            synthetic_trials([0.3, 0.7], 20, seed=5), synthetic_trials([0.3, 0.7], 20, seed=5)
         )
+
+    def test_chunked_draws_equal_one_whole_draw(self):
+        # path:40 at T = 10000 spans two row chunks
+        n, t = 40, 10_000
+        assert t * n > CHUNK_CELLS
+        p = np.linspace(0.05, 0.95, n)
+        whole = np.random.default_rng(31).random((t, n)) < p
+        assert_trials(synthetic_trials(p, t, seed=31), whole.astype(np.uint8))
 
     def test_marginal_range_validated(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
@@ -155,15 +173,15 @@ class TestSynthetic:
 
 
 class TestTrialStream:
-    """Both trial sources draw a deterministic stream of bit tuples."""
+    """Both trial sources draw a deterministic (T, N) uint8 bit array."""
 
     def test_synthetic_stream_draws(self):
-        assert synthetic_trials((0.0, 1.0), 6, seed=2) == [(0, 1)] * 6
+        assert_trials(synthetic_trials((0.0, 1.0), 6, seed=2), [(0, 1)] * 6)
 
     def test_exact_stream_draws(self):
         state = np.zeros(4, dtype=complex)
         state[2] = 1.0
-        assert sample(state, 3, seed=0) == [(0, 1)] * 3
+        assert_trials(sample(state, 3, seed=0), [(0, 1)] * 3)
 
 
 class TestOptimize:
@@ -200,7 +218,7 @@ class TestOptimize:
                 params = QaoaParams((gi * math.pi / 4,), (bi * math.pi / 8,))
                 probs = np.abs(prepare_state(EDGE, params)) ** 2
                 energy = sum(
-                    probs[k] * cost(EDGE, index_to_bits(k, 2)) for k in range(4)
+                    probs[k] * cost(EDGE, ((k >> 0) & 1, (k >> 1) & 1)) for k in range(4)
                 )
                 best = min(best, energy)
         assert best == pytest.approx(-1.0, abs=1e-12)
