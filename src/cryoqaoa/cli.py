@@ -17,17 +17,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import audit as audit_mod
 from . import bandwidth, counters, power, qaoa, timing
 from .config import ScenarioConfig, apply_overrides, load_scenario, resolved_items
-from .ising import IsingInstance, load_instance, make_instance
+from .ising import IsingInstance, hit_energy, load_instance, make_instance, term_indices
 from .timing import ExecutionProfile
 
 
@@ -79,7 +80,12 @@ def _resolve_instance(config: ScenarioConfig) -> IsingInstance:
     return make_instance(config.generator)
 
 
-def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> np.ndarray:
+def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> Iterator[np.ndarray]:
+    """Row chunks of the run's (T, N) uint8 trial matrix, drawn lazily.
+
+    The guard limits the size of the request, T x N bytes against physical
+    memory; the run itself holds one chunk of at most CHUNK_CELLS cells.
+    """
     n = instance.n_qubits
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if config.trials * n > memory:
@@ -91,7 +97,7 @@ def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> np.ndarray
     if source == "auto":
         source = "exact" if n <= config.statevector_limit else "synthetic"
     if source == "synthetic":
-        return qaoa.synthetic_trials((config.marginal,) * n, config.trials, config.seed)
+        return qaoa.synthetic_chunks((config.marginal,) * n, config.trials, config.seed)
     params = qaoa.QaoaParams(config.gammas, config.betas, config.param_bits)
     if config.optimize_steps > 0:
         params, _ = qaoa.optimize(
@@ -103,7 +109,7 @@ def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> np.ndarray
             max_qubits=config.statevector_limit,
         )
     state = qaoa.prepare_state(instance, params, max_qubits=config.statevector_limit)
-    return qaoa.sample(state, config.trials, config.seed)
+    return qaoa.sample_chunks(state, config.trials, config.seed)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -147,11 +153,31 @@ def cmd_run(args: argparse.Namespace) -> int:
         config.counter_bits, config.trials, config.overhead_budget
     )
 
-    trials = _build_trials(config, instance)
-    baseline = counters.run_baseline(instance, trials)
-    proposed = counters.run_proposed(
-        instance, trials, width_b, log_events=args.trace is not None
+    config_comment = "# config: " + " ".join(
+        f"{k}={_fmt(v)}" for k, v in resolved_items(config)
     )
+    chunks = _build_trials(config, instance)
+    singles, pairs = term_indices(instance)
+    counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
+    ledger = counters.Ledger(instance, width_b)
+    names = [_entry_id_str(e) for e in ledger.entry_order]
+    tails = [f",{name},msb{msb}\n" for name in names for msb in (0, 1)]
+    with _replace_on_success(args.trace) as trace:
+        if trace is not None:
+            trace.write(f"{config_comment}\ntrial,bits_sent,entry_id,event\n")
+        for z in chunks:
+            first = ledger.trial_count
+            hits = counters.term_hits(z, singles, pairs)
+            counts += hits.sum(axis=0, dtype=np.int64)
+            flushes = ledger.feed(hits)
+            if trace is not None:
+                trace.write(_flush_rows(flushes, first, tails))
+        t = ledger.trial_count
+        if trace is not None:
+            trace.writelines(f"{t},{width_b},{name},readout\n" for name in names)
+
+    baseline_energy = hit_energy(instance, counts, t)
+    counter_energy = counters.counter_energy_estimate(instance, ledger.collect().totals, t)
     report = bandwidth.bandwidth_report(
         timings,
         instance.s_count,
@@ -165,16 +191,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
 
     exact_types = (int, Fraction)
-    if isinstance(baseline.energy, exact_types) and isinstance(proposed.energy, exact_types):
-        energies_equal = baseline.energy == proposed.energy
+    if isinstance(baseline_energy, exact_types) and isinstance(counter_energy, exact_types):
+        energies_equal = baseline_energy == counter_energy
     else:
-        energies_equal = abs(float(baseline.energy) - float(proposed.energy)) <= 1e-9 * max(
-            1.0, abs(float(baseline.energy))
+        energies_equal = abs(float(baseline_energy) - float(counter_energy)) <= 1e-9 * max(
+            1.0, abs(float(baseline_energy))
         )
 
-    config_comment = "# config: " + " ".join(
-        f"{k}={_fmt(v)}" for k, v in resolved_items(config)
-    )
     lines = [
         config_comment,
         f"label={instance.label}",
@@ -182,13 +205,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"s_terms={instance.s_count}",
         f"c_terms={instance.c_count}",
         f"m_in_use={instance.terms_in_use}",
-        f"trials={len(trials)}",
+        f"trials={t}",
         f"counter_bits={width_b}",
         f"counter_bits_feasible={_fmt(feasible)}",
-        f"baseline_energy={baseline.energy}",
-        f"counter_energy={proposed.energy}",
-        f"baseline_energy_float={_fmt(float(baseline.energy))}",
-        f"counter_energy_float={_fmt(float(proposed.energy))}",
+        f"baseline_energy={baseline_energy}",
+        f"counter_energy={counter_energy}",
+        f"baseline_energy_float={_fmt(float(baseline_energy))}",
+        f"counter_energy_float={_fmt(float(counter_energy))}",
         f"energies_equal={_fmt(energies_equal)}",
         f"t_layer_ns={_fmt(profile.layer_time_ns(timings))}",
         f"t_qc_ns={_fmt(t_qc_ns)}",
@@ -200,33 +223,51 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"reduction_ratio={_fmt(report.reduction_ratio)}",
         f"overhead_factor={_fmt(report.overhead_factor)}",
         f"t_c_ns={_fmt(report.t_c_ns)}",
-        f"baseline_bits_per_trial={baseline.bits_per_trial}",
-        f"baseline_total_bits={baseline.total_bits}",
-        f"proposed_peak_bits_per_trial={proposed.peak_bits_per_trial}",
-        f"proposed_avg_bits_per_trial={_fmt(proposed.total_msb_bits / len(trials))}",
-        f"proposed_total_msb_bits={proposed.total_msb_bits}",
-        f"collection_bits={proposed.width_b * proposed.m_in_use}",
+        f"baseline_bits_per_trial={n}",
+        f"baseline_total_bits={n * t}",
+        f"proposed_peak_bits_per_trial={ledger.peak_bits_per_trial}",
+        f"proposed_avg_bits_per_trial={_fmt(ledger.total_msb_bits / t)}",
+        f"proposed_total_msb_bits={ledger.total_msb_bits}",
+        f"collection_bits={width_b * ledger.m_in_use}",
     ]
     _emit(lines, args.out, args.quiet)
-
-    if args.trace is not None:
-        names = {e: _entry_id_str(e) for e in proposed.totals}
-        bits_log = proposed.bits_log
-        trace = [config_comment, "trial,bits_sent,entry_id,event"]
-        trace += [
-            f"{trial},{bits_log[trial - 1]},{names[e]},msb{msb}"
-            for trial, e, msb in proposed.flush_events or ()
-        ]
-        trace += [
-            f"{len(trials)},{proposed.width_b},{names[event.entry_id]},readout"
-            for event in proposed.collection.events
-        ]
-        _emit(trace, args.trace, args.quiet)
+    if args.trace is not None and not args.quiet:
+        print(f"wrote {args.trace}")
 
     if not energies_equal:
         print("invariant violation: counter energy differs from baseline", file=sys.stderr)
         return 1
     return 0
+
+
+@contextmanager
+def _replace_on_success(path: str | None) -> Iterator[TextIO | None]:
+    """A text file that appears at ``path`` only if the block completes.
+
+    It is written as a sibling temporary file and renamed at the end, so a
+    run that fails midway leaves no partial file behind.  Yields None when
+    ``path`` is None.
+    """
+    if path is None:
+        yield None
+        return
+    partial = Path(f"{path}.tmp")
+    try:
+        with partial.open("w") as handle:
+            yield handle
+        partial.replace(path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def _flush_rows(flushes: counters.Flushes, first: int, tails: Sequence[str]) -> str:
+    """Trace rows of one chunk's MSB transfers, which follow trial ``first``.
+
+    ``tails[2e + msb]`` ends the row of entry e sending ``msb``.
+    """
+    heads = [f"{trial},{bits}" for trial, bits in enumerate(flushes.bits.tolist(), first + 1)]
+    rows = zip((flushes.trial - 1 - first).tolist(), (2 * flushes.entry + flushes.msb).tolist())
+    return "".join([heads[i] + tails[k] for i, k in rows])
 
 
 def _parse_grid(text: str, kind) -> list:

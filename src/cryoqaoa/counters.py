@@ -21,9 +21,11 @@ live in ``bandwidth``.
 
 Two implementations share these rules.  ``CounterBank`` steps the entries
 trial by trial; it is the reference model and the audit oracle, and holds
-the fault hooks.  ``run_proposed``, the production path, derives the same
-transfers in closed form from each entry's running tally (see
-``run_proposed``) and never builds a bank.
+the fault hooks.  ``Ledger``, the production path, derives the same
+transfers in closed form from each entry's running tally and never builds
+a bank.  It is fed one chunk of trial rows at a time and keeps only
+per-entry state, so ``run`` streams its trials through it in bounded
+memory; ``run_proposed`` feeds it a whole trial array.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .ising import (
     row_chunks,
     sampled_energy,
     term_hits,
+    term_indices,
     trial_array,
 )
 
@@ -302,14 +305,24 @@ class LedgerError(RuntimeError):
     """The closed-form ledger derived an impossible transfer."""
 
 
-def run_proposed(
-    instance: IsingInstance,
-    trials: Trials,
-    width_b: int,
-    log_events: bool = False,
-) -> ProposedRun:
-    """Counter-bank transfers over all trials in closed form, then collect
-    and estimate.
+@dataclass(frozen=True)
+class Flushes:
+    """The MSB transfers of one chunk of trials, as parallel arrays.
+
+    Slot k sends bit ``msb[k]`` of entry ``entry[k]`` (a position in the
+    ledger's entry order) right after trial ``trial[k]``, counted from 1
+    over the whole run; ``bits[i]`` is the number of bits sent after the
+    chunk's i-th trial.
+    """
+
+    trial: np.ndarray
+    entry: np.ndarray
+    msb: np.ndarray
+    bits: np.ndarray
+
+
+class Ledger:
+    """Counter-bank transfers in closed form, fed one chunk of trials at a time.
 
     With W = 2^(b-1) and M entries, slot s flushes entry s mod M right after
     trial ceil((s+1)W/M), so trial t sends floor(tM/W) - floor((t-1)M/W)
@@ -318,66 +331,111 @@ def run_proposed(
     difference of two such floors.  The residual is the cold register's
     modular value (C(T) - units*W) mod 2^b, so an entry that overflowed
     between flushes breaks the energy identity instead of being repaired.
-    Tallies are carried across row chunks and read only at flush trials.
+    Tallies and units are carried across chunks, so memory does not grow
+    with the trial count.
     """
-    if width_b < 2:
-        raise ValueError(f"counter width must be >= 2, got {width_b}")
-    z = trial_array(trials, instance.n_qubits)
-    t = len(z)
-    singles, pairs = _active_terms(instance)
-    entry_order: list[EntryId] = [*singles, *pairs]
-    m = len(entry_order)
-    window = 1 << (width_b - 1)
-    single_idx = np.array(singles, dtype=np.intp)
-    pair_idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    tally = np.zeros(m, dtype=np.int64)
-    units = np.zeros(m, dtype=np.int64)
-    events: list[tuple[int, EntryId, int]] | None = [] if log_events else None
-    for start, stop in row_chunks(t, m):
-        # tallies within the chunk; a chunk has at most CHUNK_CELLS rows
-        cum = np.cumsum(term_hits(z[start:stop], single_idx, pair_idx), axis=0, dtype=np.int32)
-        base, tally = tally, tally + cum[-1]
+
+    def __init__(self, instance: IsingInstance, width_b: int) -> None:
+        if width_b < 2:
+            raise ValueError(f"counter width must be >= 2, got {width_b}")
+        singles, pairs = _active_terms(instance)
+        self.entry_order: list[EntryId] = [*singles, *pairs]
+        column = {term: k for k, term in enumerate([*instance.linear, *instance.pairs])}
+        self._columns = np.array([column[e] for e in self.entry_order], dtype=np.intp)
+        self.width_b = width_b
+        self.window = 1 << (width_b - 1)
+        self.trial_count = 0
+        self.peak_bits_per_trial = 0
+        self._tally = np.zeros(self.m_in_use, dtype=np.int64)
+        self._units = np.zeros(self.m_in_use, dtype=np.int64)
+
+    @property
+    def m_in_use(self) -> int:
+        return len(self.entry_order)
+
+    @property
+    def total_msb_bits(self) -> int:
+        return self.trial_count * self.m_in_use // self.window
+
+    def feed(self, hits: np.ndarray) -> Flushes:
+        """Advance over the next nonempty chunk of trials.
+
+        ``hits`` is the chunk's ``term_hits`` matrix over the columns of
+        ``term_indices`` (every term, zero coefficients included); a chunk
+        has at most 2^31 - 1 rows.  Raises ``LedgerError`` on an MSB other
+        than 0 or 1.
+        """
+        m, window = self.m_in_use, self.window
+        start, stop = self.trial_count, self.trial_count + len(hits)
+        cum = np.cumsum(hits[:, self._columns], axis=0, dtype=np.int32)
+        base, self._tally = self._tally, self._tally + cum[-1]
+        self.trial_count = stop
+        # a window above stop*M issues no slot; capping it keeps the int64 math in range
+        bits = np.diff(np.arange(start, stop + 1, dtype=np.int64) * m // min(window, stop * m + 1))
+        self.peak_bits_per_trial = max(self.peak_bits_per_trial, int(bits.max()))
         slots = np.arange(start * m // window, stop * m // window)
         if len(slots) == 0:
-            continue
+            return Flushes(slots, slots, slots, bits)
         entry = slots % m
         trial = ((slots + 1) * window + m - 1) // m
         after = (base[entry] + cum[trial - 1 - start, entry]) // window
         # the previous flush of slot s's entry is slot s - M
-        before = np.concatenate((units[entry[:m]], after[: max(len(slots) - m, 0)]))
+        before = np.concatenate((self._units[entry[:m]], after[: max(len(slots) - m, 0)]))
         msb = after - before
         bad = np.flatnonzero((msb < 0) | (msb > 1))
         if len(bad):
             k = int(bad[0])
             raise LedgerError(
-                f"derived MSB {int(msb[k])} for entry {entry_order[int(entry[k])]} "
+                f"derived MSB {int(msb[k])} for entry {self.entry_order[int(entry[k])]} "
                 f"at trial {int(trial[k])}"
             )
-        units[entry[-m:]] = after[-m:]
-        if events is not None:
-            events.extend(
-                zip(trial.tolist(), [entry_order[e] for e in entry.tolist()], msb.tolist())
-            )
+        self._units[entry[-m:]] = after[-m:]
+        return Flushes(trial, entry, msb, bits)
 
-    size = 1 << width_b
-    totals: dict[EntryId, int] = {}
-    readouts = []
-    for e, count, unit in zip(entry_order, tally.tolist(), units.tolist()):
-        event = readout_entry(CounterEntry(width_b, (count - unit * window) % size), e)
-        readouts.append(event)
-        totals[e] = unit * window + event.recovered_value
-    energy = counter_energy_estimate(instance, totals, t) if t > 0 else None
-    # a window above t*M issues no slot; capping it keeps the int64 math in range
-    bits = np.diff(np.arange(t + 1, dtype=np.int64) * m // min(window, t * m + 1))
+    def collect(self) -> CollectionResult:
+        """Read every entry's residual and reconstruct its tally."""
+        size = 1 << self.width_b
+        window = self.window
+        totals: dict[EntryId, int] = {}
+        events = []
+        for e, count, unit in zip(self.entry_order, self._tally.tolist(), self._units.tolist()):
+            event = readout_entry(CounterEntry(self.width_b, (count - unit * window) % size), e)
+            events.append(event)
+            totals[e] = unit * window + event.recovered_value
+        return CollectionResult(totals=totals, events=tuple(events))
+
+
+def run_proposed(
+    instance: IsingInstance,
+    trials: Trials,
+    width_b: int,
+    log_events: bool = False,
+) -> ProposedRun:
+    """Counter-bank transfers over all trials, fed to a ``Ledger`` in row
+    chunks, then collect and estimate."""
+    ledger = Ledger(instance, width_b)
+    entry_order = ledger.entry_order
+    z = trial_array(trials, instance.n_qubits)
+    singles, pairs = term_indices(instance)
+    bits_log: list[int] = []
+    events: list[tuple[int, EntryId, int]] | None = [] if log_events else None
+    for start, stop in row_chunks(len(z), len(singles) + len(pairs)):
+        flushes = ledger.feed(term_hits(z[start:stop], singles, pairs))
+        bits_log += flushes.bits.tolist()
+        if events is not None:
+            entries = [entry_order[e] for e in flushes.entry.tolist()]
+            events.extend(zip(flushes.trial.tolist(), entries, flushes.msb.tolist()))
+    collection = ledger.collect()
+    t = ledger.trial_count
     return ProposedRun(
-        energy=energy,
-        totals=totals,
-        bits_log=tuple(bits.tolist()),
-        peak_bits_per_trial=int(bits.max(initial=0)),
-        total_msb_bits=t * m // window,
-        collection=CollectionResult(totals=totals, events=tuple(readouts)),
+        energy=counter_energy_estimate(instance, collection.totals, t) if t > 0 else None,
+        totals=collection.totals,
+        bits_log=tuple(bits_log),
+        peak_bits_per_trial=ledger.peak_bits_per_trial,
+        total_msb_bits=ledger.total_msb_bits,
+        collection=collection,
         width_b=width_b,
-        m_in_use=m,
+        m_in_use=ledger.m_in_use,
         trial_count=t,
         flush_events=tuple(events) if events is not None else None,
     )

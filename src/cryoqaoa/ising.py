@@ -122,6 +122,17 @@ def row_chunks(t: int, width: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + step, t)
 
 
+def term_indices(instance: IsingInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit indices of every term, for ``term_hits``.
+
+    Linear terms, then pairs, each in dict order and with zero
+    coefficients included: the column order of ``hit_energy``.
+    """
+    singles = np.array(list(instance.linear), dtype=np.intp)
+    pairs = np.array(list(instance.pairs), dtype=np.intp).reshape(-1, 2)
+    return singles, pairs
+
+
 def term_hits(z: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Hit matrix of a chunk of trial rows, one column per term.
 
@@ -131,28 +142,36 @@ def term_hits(z: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.ndarr
     return np.concatenate((z[:, singles], z[:, pairs[:, 0]] ^ z[:, pairs[:, 1]]), axis=1)
 
 
-def sampled_energy(instance: IsingInstance, trials: Trials) -> Coeff:
-    """Average cost over a nonempty set of trials (a 2-D bit array or rows).
+def hit_energy(instance: IsingInstance, counts: np.ndarray, t: int) -> Coeff:
+    """Average cost of t trials from the hit count of every term.
 
-    Counts the hits of every term, then sums coefficient * count with
-    Python numbers, so integer-coefficient instances yield an exact
-    ``Fraction``.
+    ``counts`` follows the column order of ``term_indices``.  Sums
+    coefficient * count with Python numbers in that order, so
+    integer-coefficient instances yield an exact ``Fraction``.
     """
-    if len(trials) == 0:
-        raise ValueError("trials must be nonempty")
-    z = trial_array(trials, instance.n_qubits)
-    singles = np.array(list(instance.linear), dtype=np.intp)
-    pairs = np.array(list(instance.pairs), dtype=np.intp).reshape(-1, 2)
-    counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
-    for start, stop in row_chunks(len(z), len(counts)):
-        counts += term_hits(z[start:stop], singles, pairs).sum(axis=0, dtype=np.int64)
     total: Coeff = 0
     coeffs = [*instance.linear.values(), *instance.pairs.values()]
     for coeff, count in zip(coeffs, counts.tolist()):
         total = total + coeff * count
     if isinstance(total, int):
-        return Fraction(total, len(z))
-    return total / len(z)
+        return Fraction(total, t)
+    return total / t
+
+
+def sampled_energy(instance: IsingInstance, trials: Trials) -> Coeff:
+    """Average cost over a nonempty set of trials (a 2-D bit array or rows).
+
+    Counts the hits of every term in row chunks, then weighs them with
+    ``hit_energy``.
+    """
+    if len(trials) == 0:
+        raise ValueError("trials must be nonempty")
+    z = trial_array(trials, instance.n_qubits)
+    singles, pairs = term_indices(instance)
+    counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
+    for start, stop in row_chunks(len(z), len(counts)):
+        counts += term_hits(z[start:stop], singles, pairs).sum(axis=0, dtype=np.int64)
+    return hit_energy(instance, counts, len(z))
 
 
 def maxcut_instance(edges: Iterable[tuple[int, int]], n: int) -> IsingInstance:

@@ -1,12 +1,14 @@
 """Exact statevector simulation of the alternating-operator circuit.
 
 Basis convention: qubit i is bit i of the amplitude index (little-endian).
-Both trial sources return a (T, N) uint8 array: row t is trial t and
-column i is qubit i, so a row z has z[i] = qubit i.  The phase
-separator applies exp(-i*gamma*cost(z)) per basis state with the classical
-cost; the mixer applies exp(-i*beta*X) on every qubit.  Sampling uses
-inverse-CDF draws on the raw PCG64 uniform stream, which numpy keeps
-stream-stable across platforms.
+Both trial sources draw a (T, N) uint8 array: row t is trial t and
+column i is qubit i, so a row z has z[i] = qubit i.  ``sample_chunks`` and
+``synthetic_chunks`` yield it in row chunks of at most CHUNK_CELLS cells,
+so a consumer never holds all T rows; ``sample`` and ``synthetic_trials``
+return it whole.  The phase separator applies exp(-i*gamma*cost(z)) per
+basis state with the classical cost; the mixer applies exp(-i*beta*X) on
+every qubit.  Sampling uses inverse-CDF draws on the raw PCG64 uniform
+stream, which numpy keeps stream-stable across platforms.
 
 Also provides a Bernoulli bitstring source for communication studies at
 qubit counts far beyond statevector reach, and a derivative-free parameter
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,13 +87,22 @@ def prepare_state(
     Returns the 2^N complex amplitude vector; unitarity keeps the norm at 1
     to within accumulated rounding (~1e-15 per operation).
     """
+    _check_statevector(instance, max_qubits)
+    return _evolve(phase_costs(instance), params)
+
+
+def _check_statevector(instance: IsingInstance, max_qubits: int) -> None:
     n = instance.n_qubits
     if n > max_qubits:
         raise ValueError(
             f"{n} qubits needs 2^{n} amplitudes; statevector limit is {max_qubits}"
         )
+
+
+def _evolve(costs: np.ndarray, params: QaoaParams) -> np.ndarray:
+    """The circuit of ``prepare_state`` on the basis-state costs it returns."""
+    n = len(costs).bit_length() - 1
     state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
-    costs = phase_costs(instance)
     for gamma, beta in zip(params.gammas, params.betas):
         state *= np.exp(-1j * gamma * costs)
         for q in range(n):
@@ -99,10 +110,15 @@ def prepare_state(
     return state
 
 
-def sample(state: np.ndarray, t: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+def sample_chunks(
+    state: np.ndarray, t: int, seed: int | np.random.SeedSequence
+) -> Iterator[np.ndarray]:
     """Draw t independent bitstrings from |amplitude|^2, deterministically.
 
-    Returns a (t, N) uint8 array; column i is bit i of the drawn index.
+    Yields (rows, N) uint8 arrays of consecutive trials, at most
+    CHUNK_CELLS cells each; column i is bit i of the drawn index.  The
+    uniforms of each chunk continue one generator stream, so the rows equal
+    those of one whole draw.
     """
     if t < 1:
         raise ValueError(f"trial count must be >= 1, got {t}")
@@ -114,22 +130,35 @@ def sample(state: np.ndarray, t: int, seed: int | np.random.SeedSequence) -> np.
     cum = np.cumsum(probs)
     cum /= cum[-1]
     cum[-1] = 1.0
-    uniforms = np.random.default_rng(seed).random(t)
-    draws = np.searchsorted(cum, uniforms, side="right")
-    np.minimum(draws, size - 1, out=draws)
-    bits = np.empty((t, n), dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    return (
+        _index_bits(np.searchsorted(cum, rng.random(stop - start), side="right"), n)
+        for start, stop in row_chunks(t, n)
+    )
+
+
+def _index_bits(draws: np.ndarray, n: int) -> np.ndarray:
+    """Drawn basis indices as rows of n bits; column i is bit i."""
+    np.minimum(draws, (1 << n) - 1, out=draws)
+    bits = np.empty((len(draws), n), dtype=np.uint8)
     for i in range(n):
         bits[:, i] = (draws >> i) & 1
     return bits
 
 
-def synthetic_trials(
+def sample(state: np.ndarray, t: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+    """All t trials of ``sample_chunks`` as one (t, N) uint8 array."""
+    return np.concatenate(list(sample_chunks(state, t, seed)))
+
+
+def synthetic_chunks(
     marginals: Sequence[float], t: int, seed: int | np.random.SeedSequence
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """Deterministic Bernoulli bitstrings with the given per-qubit one-rates.
 
-    Returns a (t, N) uint8 array.  The uniforms are drawn in row chunks,
-    which consume the generator stream exactly as one (t, N) draw would.
+    Yields (rows, N) uint8 arrays of consecutive trials, at most
+    CHUNK_CELLS cells each.  The uniforms are drawn chunk by chunk, which
+    consumes the generator stream exactly as one (t, N) draw would.
     """
     if t < 1:
         raise ValueError(f"trial count must be >= 1, got {t}")
@@ -139,10 +168,17 @@ def synthetic_trials(
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("marginals must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    bits = np.empty((t, len(p)), dtype=np.uint8)
-    for start, stop in row_chunks(t, len(p)):
-        np.less(rng.random((stop - start, len(p))), p, out=bits[start:stop])
-    return bits
+    return (
+        np.less(rng.random((stop - start, len(p))), p).view(np.uint8)
+        for start, stop in row_chunks(t, len(p))
+    )
+
+
+def synthetic_trials(
+    marginals: Sequence[float], t: int, seed: int | np.random.SeedSequence
+) -> np.ndarray:
+    """All t trials of ``synthetic_chunks`` as one (t, N) uint8 array."""
+    return np.concatenate(list(synthetic_chunks(marginals, t, seed)))
 
 
 @dataclass(frozen=True)
@@ -178,19 +214,22 @@ def optimize(
     Evaluates the initial point, then up to ``steps`` candidates: first a
     coarse grid, then +/- coordinate moves with shrinking step size around
     the incumbent.  Each evaluation samples ``trials_per_step`` bitstrings
-    with its own deterministic substream of ``seed``.  The best-so-far
-    column of the returned trace is non-increasing.
+    with its own deterministic substream of ``seed``; the basis-state costs
+    are computed once for all evaluations.  The best-so-far column of the
+    returned trace is non-increasing.
     """
     if trials_per_step < 1:
         raise ValueError(f"trials_per_step must be >= 1, got {trials_per_step}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
 
+    _check_statevector(instance, max_qubits)
+    costs = phase_costs(instance)
     eval_count = 0
 
     def evaluate(params: QaoaParams) -> float:
         nonlocal eval_count
-        state = prepare_state(instance, params, max_qubits)
+        state = _evolve(costs, params)
         trials = sample(state, trials_per_step, np.random.SeedSequence((seed, eval_count)))
         eval_count += 1
         return float(sampled_energy(instance, trials))

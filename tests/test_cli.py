@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cryoqaoa
 from cryoqaoa.cli import main
 from cryoqaoa.config import ScenarioConfig, load_scenario
 
@@ -141,6 +145,99 @@ class TestRun:
         )
         assert code == 1
         assert "invariant violation: derived MSB" in err
+
+    def test_failed_run_leaves_no_trace(self, capsys, monkeypatch, tmp_path):
+        import cryoqaoa.counters as counters
+
+        real = counters.term_hits
+        monkeypatch.setattr(counters, "term_hits", lambda *args: 2 * real(*args))
+        trace = tmp_path / "trace.csv"
+        code, _, err = run_cli(
+            capsys,
+            "run",
+            "--generator",
+            "ring:4",
+            "--trials",
+            "64",
+            "--counter-bits",
+            "3",
+            "--trace",
+            str(trace),
+        )
+        assert code == 1
+        assert "invariant violation: derived MSB" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_rows_match_ledger_events(self, capsys, tmp_path):
+        from cryoqaoa.counters import run_proposed
+        from cryoqaoa.ising import CHUNK_CELLS, worstcase_instance
+        from cryoqaoa.qaoa import synthetic_trials
+
+        # path:40 at T = 10000 is streamed in two row chunks
+        t, b = 10_000, 5
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "run",
+            "--generator",
+            "path:40",
+            "--source",
+            "synthetic",
+            "--marginal",
+            "0.3",
+            "--trials",
+            str(t),
+            "--counter-bits",
+            str(b),
+            "--seed",
+            "12",
+            "--trace",
+            str(trace),
+            "--quiet",
+        )
+        assert code == 0
+        assert t * 40 > CHUNK_CELLS
+        inst = worstcase_instance(40)
+        proposed = run_proposed(inst, synthetic_trials([0.3] * 40, t, 12), b, log_events=True)
+        expected = [
+            f"{trial},{proposed.bits_log[trial - 1]},{i}-{j},msb{msb}"
+            for trial, (i, j), msb in proposed.flush_events
+        ]
+        expected += [f"{t},{b},{i}-{j},readout" for i, j in proposed.totals]
+        assert trace.read_text().splitlines()[2:] == expected
+
+    def test_streamed_run_memory_is_bounded(self, tmp_path):
+        # the (T, N) matrix alone would take 150 MB
+        trace = tmp_path / "trace.csv"
+        child = (
+            "import resource, sys\n"
+            "from cryoqaoa.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(f'maxrss_kb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}')\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(cryoqaoa.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = ["run", "--generator", "path:750", "--source", "synthetic", "--trials", "200000"]
+        # Linux carries the spawning process's peak RSS into a child's
+        # ru_maxrss across exec, so the run starts from a small relay process.
+        relay = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+        result = subprocess.run(
+            [sys.executable, "-c", relay, sys.executable, "-c", child, *argv]
+            + ["--trace", str(trace), "--quiet"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=600,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        values = summary_dict(result.stdout)
+        assert int(values["maxrss_kb"]) < 100 * 1024
+        assert values["energies_equal"] == "true"
+        events = int(values["proposed_total_msb_bits"]) + int(values["m_in_use"])
+        with trace.open() as handle:
+            assert sum(1 for _ in handle) - 2 == events
 
     def test_config_comment_records_resolution(self, capsys):
         code, out, _ = run_cli(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cryoqaoa.counters import (
     CounterBank,
     CounterEntry,
+    Ledger,
     RoomTempAccumulator,
     collect_non_msbs,
     counter_energy_estimate,
@@ -15,7 +16,15 @@ from cryoqaoa.counters import (
     run_baseline,
     run_proposed,
 )
-from cryoqaoa.ising import CHUNK_CELLS, IsingInstance, sampled_energy, worstcase_instance
+from cryoqaoa.ising import (
+    CHUNK_CELLS,
+    IsingInstance,
+    hit_energy,
+    sampled_energy,
+    term_hits,
+    term_indices,
+    worstcase_instance,
+)
 from cryoqaoa.qaoa import synthetic_trials
 
 
@@ -400,6 +409,42 @@ def test_ledger_across_chunk_boundary(b):
     assert len(trials) * inst.terms_in_use > CHUNK_CELLS
     assert_ledger_matches_bank(inst, trials, b)
     assert run_proposed(inst, trials, width_b=b).energy == sampled_energy(inst, trials)
+
+
+@pytest.mark.parametrize("b", [2, 5, 9])
+def test_ledger_fed_uneven_chunks_matches_whole_array(b):
+    inst = worstcase_instance(40)
+    trials = synthetic_trials(np.linspace(0.1, 0.9, 40), 10_000, seed=b)
+    whole = run_proposed(inst, trials, width_b=b, log_events=True)
+    ledger = Ledger(inst, b)
+    singles, pairs = term_indices(inst)
+    counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
+    bits_log, events = [], []
+    for rows in np.split(trials, [1, 334]):
+        hits = term_hits(rows, singles, pairs)
+        counts += hits.sum(axis=0, dtype=np.int64)
+        flushes = ledger.feed(hits)
+        bits_log += flushes.bits.tolist()
+        entries = [ledger.entry_order[e] for e in flushes.entry.tolist()]
+        events += zip(flushes.trial.tolist(), entries, flushes.msb.tolist())
+    totals = ledger.collect().totals
+    assert tuple(bits_log) == whole.bits_log
+    assert tuple(events) == whole.flush_events
+    assert totals == whole.totals
+    assert (ledger.peak_bits_per_trial, ledger.total_msb_bits) == (
+        whole.peak_bits_per_trial,
+        whole.total_msb_bits,
+    )
+    assert counter_energy_estimate(inst, totals, len(trials)) == whole.energy
+    assert hit_energy(inst, counts, len(trials)) == sampled_energy(inst, trials)
+
+
+def test_ledger_entries_follow_sorted_terms_not_dict_order():
+    # hit columns come in dict order with zero terms; entries are sorted nonzero terms
+    inst = IsingInstance(4, linear={3: 1, 0: 0, 1: 2}, pairs={(2, 3): -1, (0, 1): 0, (0, 2): 3})
+    trials = synthetic_trials([0.2, 0.5, 0.7, 0.4], 300, seed=3)
+    assert_ledger_matches_bank(inst, trials, 3)
+    assert run_proposed(inst, trials, width_b=3).energy == sampled_energy(inst, trials)
 
 
 def test_ledger_accepts_rows_and_arrays_alike():

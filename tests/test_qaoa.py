@@ -11,6 +11,7 @@ from cryoqaoa.qaoa import (
     optimize,
     prepare_state,
     sample,
+    sample_chunks,
     synthetic_trials,
 )
 
@@ -134,6 +135,23 @@ class TestSample:
         keep = expected > 1e-9  # chi-square undefined on zero-probability cells
         result = stats.chisquare(observed[keep], expected[keep] * observed[keep].sum() / expected[keep].sum())
         assert result.pvalue > 1e-3
+
+    def test_chunked_draws_equal_one_whole_draw(self):
+        # four qubits at T = 150000 span three row chunks
+        n, t = 4, 150_000
+        state = prepare_state(
+            maxcut_instance([(0, 1), (1, 2), (2, 3)], n), QaoaParams((0.8,), (0.6,))
+        )
+        chunks = list(sample_chunks(state, t, seed=41))
+        assert len(chunks) == 3
+        assert all(chunk.size <= CHUNK_CELLS for chunk in chunks)
+        cum = np.cumsum(np.abs(state) ** 2)
+        cum /= cum[-1]
+        cum[-1] = 1.0
+        whole = np.searchsorted(cum, np.random.default_rng(41).random(t), side="right")
+        expected = ((whole[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+        assert_trials(np.concatenate(chunks), expected)
+        assert_trials(sample(state, t, seed=41), expected)
 
     def test_trial_count_validated(self):
         with pytest.raises(ValueError, match="trial count"):
