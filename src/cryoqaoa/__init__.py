@@ -12,7 +12,6 @@ from .ising import (
     ring_instance,
     complete_instance,
     load_instance,
-    load_edgelist,
 )
 from .qaoa import QaoaParams, prepare_state, sample, synthetic_trials, optimize
 from .timing import (

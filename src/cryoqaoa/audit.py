@@ -136,7 +136,7 @@ def check_case(
                 len(trials) - 1,
             )
 
-    ledger = run_proposed(instance, trials, width_b, log_events=True)
+    ledger = run_proposed(instance, trials, width_b)
     k = _first_mismatch(ledger.bits_log, tuple(bits_log))
     if k is not None:
         return violation(

@@ -15,11 +15,9 @@ then a header row; output is byte-stable for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Sequence, TextIO
 
@@ -28,7 +26,14 @@ import numpy as np
 from . import audit as audit_mod
 from . import bandwidth, counters, power, qaoa, timing
 from .config import ScenarioConfig, apply_overrides, load_scenario, resolved_items
-from .ising import IsingInstance, hit_energy, load_instance, make_instance, term_indices
+from .ising import (
+    IsingInstance,
+    hit_energy,
+    load_instance,
+    make_instance,
+    physical_memory,
+    term_indices,
+)
 from .timing import ExecutionProfile
 
 
@@ -87,7 +92,7 @@ def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> Iterator[n
     memory; the run itself holds one chunk of at most CHUNK_CELLS cells.
     """
     n = instance.n_qubits
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    memory = physical_memory()
     if config.trials * n > memory:
         raise ValueError(
             f"the T={config.trials} x N={n} trial matrix needs {config.trials * n} bytes, "
@@ -178,6 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     baseline_energy = hit_energy(instance, counts, t)
     counter_energy = counters.counter_energy_estimate(instance, ledger.collect().totals, t)
+    energies_equal = baseline_energy == counter_energy
     report = bandwidth.bandwidth_report(
         timings,
         instance.s_count,
@@ -189,14 +195,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         config.trials,
         width_b,
     )
-
-    exact_types = (int, Fraction)
-    if isinstance(baseline_energy, exact_types) and isinstance(counter_energy, exact_types):
-        energies_equal = baseline_energy == counter_energy
-    else:
-        energies_equal = abs(float(baseline_energy) - float(counter_energy)) <= 1e-9 * max(
-            1.0, abs(float(baseline_energy))
-        )
 
     lines = [
         config_comment,

@@ -31,7 +31,6 @@ memory; ``run_proposed`` feeds it a whole trial array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -41,6 +40,7 @@ from .ising import (
     Coeff,
     IsingInstance,
     Trials,
+    hit_energy,
     row_chunks,
     sampled_energy,
     term_hits,
@@ -131,9 +131,8 @@ class CounterBank:
     def for_instance(
         cls, instance: IsingInstance, width_b: int, fault: str | None = None
     ) -> "CounterBank":
-        """Wire one entry per nonzero coefficient of the instance."""
-        singles, pairs = _active_terms(instance)
-        return cls(instance.n_qubits, width_b, singles, pairs, fault=fault)
+        """Wire one entry per term of ``instance.terms``."""
+        return cls(instance.n_qubits, width_b, *instance.terms, fault=fault)
 
     @property
     def m_in_use(self) -> int:
@@ -194,13 +193,6 @@ class CounterBank:
         return bits
 
 
-def _active_terms(instance: IsingInstance) -> tuple[list[int], list[tuple[int, int]]]:
-    """Sorted linear and pair terms with a nonzero coefficient: the entries."""
-    singles = sorted(i for i, v in instance.linear.items() if v != 0)
-    pairs = sorted(p for p, v in instance.pairs.items() if v != 0)
-    return singles, pairs
-
-
 def readout_entry(entry: CounterEntry, entry_id: EntryId | None = None) -> ReadoutEvent:
     """Drain one entry through the read-out line.
 
@@ -245,26 +237,18 @@ def counter_energy_estimate(
     """Energy from counter tallies: (sum_i s_i*C_i + sum_ij c_ij*C_ij) / T.
 
     Exact Fraction for integer coefficients.  Every nonzero coefficient
-    must have a tally.
+    must have a tally.  The sum is ``hit_energy``'s, so tallies equal to
+    the hit counts give the sampled energy exactly, whatever the
+    coefficient type.
     """
     if t < 1:
         raise ValueError(f"trial count must be >= 1, got {t}")
-    acc: Coeff = 0
-    for i, coeff in instance.linear.items():
-        if coeff == 0:
-            continue
-        if i not in totals:
-            raise ValueError(f"no counter total for linear term {i}")
-        acc = acc + coeff * totals[i]
-    for pair, coeff in instance.pairs.items():
-        if coeff == 0:
-            continue
-        if pair not in totals:
-            raise ValueError(f"no counter total for pair term {pair}")
-        acc = acc + coeff * totals[pair]
-    if isinstance(acc, int):
-        return Fraction(acc, t)
-    return acc / t
+    singles, pairs = instance.terms
+    try:
+        counts = [totals[e] for e in (*singles, *pairs)]
+    except KeyError as exc:
+        raise ValueError(f"no counter total for term {exc.args[0]}") from None
+    return hit_energy(instance, np.array(counts, dtype=np.int64), t)
 
 
 @dataclass(frozen=True)
@@ -298,7 +282,7 @@ class ProposedRun:
     width_b: int
     m_in_use: int
     trial_count: int
-    flush_events: tuple[tuple[int, EntryId, int], ...] | None = None
+    flush_events: tuple[tuple[int, EntryId, int], ...]
 
 
 class LedgerError(RuntimeError):
@@ -338,10 +322,7 @@ class Ledger:
     def __init__(self, instance: IsingInstance, width_b: int) -> None:
         if width_b < 2:
             raise ValueError(f"counter width must be >= 2, got {width_b}")
-        singles, pairs = _active_terms(instance)
-        self.entry_order: list[EntryId] = [*singles, *pairs]
-        column = {term: k for k, term in enumerate([*instance.linear, *instance.pairs])}
-        self._columns = np.array([column[e] for e in self.entry_order], dtype=np.intp)
+        self.entry_order: list[EntryId] = [*instance.terms[0], *instance.terms[1]]
         self.width_b = width_b
         self.window = 1 << (width_b - 1)
         self.trial_count = 0
@@ -361,13 +342,13 @@ class Ledger:
         """Advance over the next nonempty chunk of trials.
 
         ``hits`` is the chunk's ``term_hits`` matrix over the columns of
-        ``term_indices`` (every term, zero coefficients included); a chunk
-        has at most 2^31 - 1 rows.  Raises ``LedgerError`` on an MSB other
+        ``term_indices``, one column per entry in entry order; a chunk has
+        at most 2^31 - 1 rows.  Raises ``LedgerError`` on an MSB other
         than 0 or 1.
         """
         m, window = self.m_in_use, self.window
         start, stop = self.trial_count, self.trial_count + len(hits)
-        cum = np.cumsum(hits[:, self._columns], axis=0, dtype=np.int32)
+        cum = np.cumsum(hits, axis=0, dtype=np.int32)
         base, self._tally = self._tally, self._tally + cum[-1]
         self.trial_count = stop
         # a window above stop*M issues no slot; capping it keeps the int64 math in range
@@ -409,7 +390,6 @@ def run_proposed(
     instance: IsingInstance,
     trials: Trials,
     width_b: int,
-    log_events: bool = False,
 ) -> ProposedRun:
     """Counter-bank transfers over all trials, fed to a ``Ledger`` in row
     chunks, then collect and estimate."""
@@ -418,13 +398,12 @@ def run_proposed(
     z = trial_array(trials, instance.n_qubits)
     singles, pairs = term_indices(instance)
     bits_log: list[int] = []
-    events: list[tuple[int, EntryId, int]] | None = [] if log_events else None
+    events: list[tuple[int, EntryId, int]] = []
     for start, stop in row_chunks(len(z), len(singles) + len(pairs)):
         flushes = ledger.feed(term_hits(z[start:stop], singles, pairs))
         bits_log += flushes.bits.tolist()
-        if events is not None:
-            entries = [entry_order[e] for e in flushes.entry.tolist()]
-            events.extend(zip(flushes.trial.tolist(), entries, flushes.msb.tolist()))
+        entries = [entry_order[e] for e in flushes.entry.tolist()]
+        events.extend(zip(flushes.trial.tolist(), entries, flushes.msb.tolist()))
     collection = ledger.collect()
     t = ledger.trial_count
     return ProposedRun(
@@ -437,5 +416,5 @@ def run_proposed(
         width_b=width_b,
         m_in_use=ledger.m_in_use,
         trial_count=t,
-        flush_events=tuple(events) if events is not None else None,
+        flush_events=tuple(events),
     )

@@ -15,9 +15,11 @@ against counter-based reconstructions.  Max-cut graphs map each edge to
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -64,15 +66,27 @@ class IsingInstance:
             canonical[key] = coeff
         object.__setattr__(self, "pairs", canonical)
 
+    @cached_property
+    def terms(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """The terms with a nonzero coefficient: linear indices ascending,
+        then pairs ascending.
+
+        This is the one term order of the package: the counter entries, the
+        ``term_hits`` columns and the order of the ``hit_energy`` sum.
+        """
+        singles = tuple(sorted(i for i, v in self.linear.items() if v != 0))
+        pairs = tuple(sorted(p for p, v in self.pairs.items() if v != 0))
+        return singles, pairs
+
     @property
     def s_count(self) -> int:
         """Number of nonzero linear terms (the S of the timing model)."""
-        return sum(1 for v in self.linear.values() if v != 0)
+        return len(self.terms[0])
 
     @property
     def c_count(self) -> int:
         """Number of nonzero pair terms (the C of the timing model)."""
-        return sum(1 for v in self.pairs.values() if v != 0)
+        return len(self.terms[1])
 
     @property
     def terms_in_use(self) -> int:
@@ -84,18 +98,21 @@ def cost(instance: IsingInstance, z: BitString) -> Coeff:
     """Evaluate the classical cost of one measured bitstring.
 
     Exact for int/Fraction coefficients; each unordered pair counted once.
+    Sums in the order of ``instance.terms``, so it equals the
+    ``sampled_energy`` of that one trial for any coefficient type.
     """
     if len(z) != instance.n_qubits:
         raise ValueError(
             f"bitstring length {len(z)} does not match n_qubits {instance.n_qubits}"
         )
+    singles, pairs = instance.terms
     total: Coeff = 0
-    for i, coeff in instance.linear.items():
+    for i in singles:
         if z[i]:
-            total = total + coeff
-    for (i, j), coeff in instance.pairs.items():
+            total = total + instance.linear[i]
+    for i, j in pairs:
         if z[i] != z[j]:
-            total = total + coeff
+            total = total + instance.pairs[(i, j)]
     return total
 
 
@@ -123,14 +140,13 @@ def row_chunks(t: int, width: int) -> Iterator[tuple[int, int]]:
 
 
 def term_indices(instance: IsingInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Qubit indices of every term, for ``term_hits``.
+    """Qubit indices of ``instance.terms``, for ``term_hits``.
 
-    Linear terms, then pairs, each in dict order and with zero
-    coefficients included: the column order of ``hit_energy``.
+    The single indices, then a (C, 2) array of pairs, so the hit columns
+    are the counter entries in their order.
     """
-    singles = np.array(list(instance.linear), dtype=np.intp)
-    pairs = np.array(list(instance.pairs), dtype=np.intp).reshape(-1, 2)
-    return singles, pairs
+    singles, pairs = instance.terms
+    return np.array(singles, dtype=np.intp), np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 def term_hits(z: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -145,12 +161,14 @@ def term_hits(z: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.ndarr
 def hit_energy(instance: IsingInstance, counts: np.ndarray, t: int) -> Coeff:
     """Average cost of t trials from the hit count of every term.
 
-    ``counts`` follows the column order of ``term_indices``.  Sums
-    coefficient * count with Python numbers in that order, so
-    integer-coefficient instances yield an exact ``Fraction``.
+    ``counts`` holds one count per term of ``instance.terms``, in that
+    order.  Sums coefficient * count with Python numbers in that order, so
+    integer-coefficient instances yield an exact ``Fraction``, and two
+    equal count vectors yield equal energies for any coefficient type.
     """
+    singles, pairs = instance.terms
+    coeffs = [*(instance.linear[i] for i in singles), *(instance.pairs[p] for p in pairs)]
     total: Coeff = 0
-    coeffs = [*instance.linear.values(), *instance.pairs.values()]
     for coeff, count in zip(coeffs, counts.tolist()):
         total = total + coeff * count
     if isinstance(total, int):
@@ -216,8 +234,23 @@ def complete_instance(n: int) -> IsingInstance:
     return IsingInstance(n_qubits=n, pairs=inst.pairs, label=f"complete-{n}")
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, the bound of the size guards."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+# Peak bytes per pair term while a generator builds its instance, measured
+# at 339-389 B on complete:1000, complete:2000 and path:500000 (CPython
+# 3.11, 64-bit).
+GENERATOR_BYTES_PER_TERM = 400
+
+
 def make_instance(spec: str) -> IsingInstance:
-    """Build a generator instance from a "name:n" spec, e.g. "ring:8"."""
+    """Build a generator instance from a "name:n" spec, e.g. "ring:8".
+
+    A spec whose pair terms would not fit in physical memory is refused
+    before any is built.
+    """
     name, _, arg = spec.partition(":")
     if not arg:
         raise ValueError(f"generator spec {spec!r} needs a size, e.g. 'ring:8'")
@@ -225,15 +258,23 @@ def make_instance(spec: str) -> IsingInstance:
         n = int(arg)
     except ValueError:
         raise ValueError(f"generator size {arg!r} is not an integer") from None
-    generators = {
-        "ring": ring_instance,
-        "path": worstcase_instance,
-        "worstcase": worstcase_instance,
-        "complete": complete_instance,
+    generators = {  # builder, pair term count
+        "ring": (ring_instance, n),
+        "path": (worstcase_instance, n - 1),
+        "worstcase": (worstcase_instance, n - 1),
+        "complete": (complete_instance, n * (n - 1) // 2),
     }
     if name not in generators:
         raise ValueError(f"unknown generator {name!r}; choose from {sorted(generators)}")
-    return generators[name](n)
+    build, terms = generators[name]
+    memory = physical_memory()
+    if terms * GENERATOR_BYTES_PER_TERM > memory:
+        raise ValueError(
+            f"generator {spec!r} has {terms} pair terms, about "
+            f"{terms * GENERATOR_BYTES_PER_TERM} bytes to build, "
+            f"more than physical memory ({memory} bytes)"
+        )
+    return build(n)
 
 
 def format_bits(z: BitString) -> str:
@@ -317,28 +358,3 @@ def load_instance(path: str | Path) -> IsingInstance:
         return IsingInstance(n_qubits=n, linear=linear, pairs=pairs, label=label)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def load_edgelist(path: str | Path, n: int | None = None) -> IsingInstance:
-    """Import whitespace-separated ``i j`` edge lines as a max-cut instance.
-
-    ``n`` defaults to one past the largest index seen.
-    """
-    path = Path(path)
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-        try:
-            edges.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad edge indices {line!r}") from None
-    if not edges and n is None:
-        raise ValueError(f"{path}: empty edge list and no qubit count given")
-    if n is None:
-        n = max(max(i, j) for i, j in edges) + 1
-    return maxcut_instance(edges, n)

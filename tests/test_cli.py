@@ -135,6 +135,61 @@ class TestRun:
         assert code == 2
         assert "T=1000000000000" in err and "N=750" in err
 
+    @pytest.mark.parametrize(
+        "spec, terms",
+        [
+            ("complete:1000000", 499999500000),
+            ("ring:10000000000", 10000000000),
+            ("path:10000000000", 9999999999),
+        ],
+    )
+    def test_generator_beyond_memory_exits_2(self, capsys, spec, terms):
+        code, _, err = run_cli(capsys, "run", "--generator", spec)
+        assert code == 2
+        assert f"has {terms} pair terms" in err
+
+    def test_float_tally_error_exits_1(self, capsys, monkeypatch, tmp_path):
+        import cryoqaoa.counters as counters
+
+        # one extra hit on the 1e-8 term moves the energy by 1e-10
+        path = tmp_path / "tiny.instance"
+        path.write_text("n = 3\n[linear]\n0 = 0.75\n2 = 1e-8\n[pairs]\n0 1 = -1.5\n")
+        real = counters.Ledger.collect
+
+        def bumped(self):
+            collection = real(self)
+            collection.totals[2] += 1
+            return collection
+
+        monkeypatch.setattr(counters.Ledger, "collect", bumped)
+        code, out, err = run_cli(
+            capsys,
+            "run",
+            "--instance",
+            str(path),
+            "--source",
+            "exact",
+            "--trials",
+            "100",
+            "--seed",
+            "1",
+        )
+        assert code == 1
+        assert summary_dict(out)["energies_equal"] == "false"
+        assert "invariant violation" in err
+
+    def test_zero_float_coefficient_keeps_energies_exact(self, capsys, tmp_path):
+        path = tmp_path / "mixed.instance"
+        path.write_text("n = 3\n[linear]\n2 = 3\n1 = 0.0\n[pairs]\n1 2 = -2\n0 1 = 1\n")
+        code, out, _ = run_cli(
+            capsys, "run", "--instance", str(path), "--trials", "3000", "--seed", "4"
+        )
+        assert code == 0
+        values = summary_dict(out)
+        assert values["baseline_energy"] == values["counter_energy"]
+        assert "/" in values["baseline_energy"]
+        assert values["energies_equal"] == "true"
+
     def test_impossible_ledger_transfer_exits_1(self, capsys, monkeypatch):
         import cryoqaoa.counters as counters
 
@@ -198,7 +253,7 @@ class TestRun:
         assert code == 0
         assert t * 40 > CHUNK_CELLS
         inst = worstcase_instance(40)
-        proposed = run_proposed(inst, synthetic_trials([0.3] * 40, t, 12), b, log_events=True)
+        proposed = run_proposed(inst, synthetic_trials([0.3] * 40, t, 12), b)
         expected = [
             f"{trial},{proposed.bits_log[trial - 1]},{i}-{j},msb{msb}"
             for trial, (i, j), msb in proposed.flush_events

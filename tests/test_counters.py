@@ -54,7 +54,7 @@ def drive_bank(instance, trials, b):
 
 
 def assert_ledger_matches_bank(instance, trials, b):
-    result = run_proposed(instance, trials, width_b=b, log_events=True)
+    result = run_proposed(instance, trials, width_b=b)
     bits_log, events, collection = drive_bank(instance, trials, b)
     assert result.bits_log == bits_log
     assert result.flush_events == events
@@ -372,8 +372,7 @@ def test_dropped_msb_breaks_reconstruction():
 
 def test_event_log_records_flushes():
     inst = IsingInstance(2, pairs={(0, 1): 1})
-    result = run_proposed(inst, [(1, 0)] * 8, width_b=3, log_events=True)
-    assert result.flush_events is not None
+    result = run_proposed(inst, [(1, 0)] * 8, width_b=3)
     # M=1, window=4: flush slots at trials 4 and 8, both with MSB set
     assert [(t, msb) for t, _, msb in result.flush_events] == [(4, 1), (8, 1)]
 
@@ -415,7 +414,7 @@ def test_ledger_across_chunk_boundary(b):
 def test_ledger_fed_uneven_chunks_matches_whole_array(b):
     inst = worstcase_instance(40)
     trials = synthetic_trials(np.linspace(0.1, 0.9, 40), 10_000, seed=b)
-    whole = run_proposed(inst, trials, width_b=b, log_events=True)
+    whole = run_proposed(inst, trials, width_b=b)
     ledger = Ledger(inst, b)
     singles, pairs = term_indices(inst)
     counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
@@ -440,7 +439,8 @@ def test_ledger_fed_uneven_chunks_matches_whole_array(b):
 
 
 def test_ledger_entries_follow_sorted_terms_not_dict_order():
-    # hit columns come in dict order with zero terms; entries are sorted nonzero terms
+    # terms given unsorted and with zero coefficients: the hit columns and the
+    # entries are both the sorted nonzero terms
     inst = IsingInstance(4, linear={3: 1, 0: 0, 1: 2}, pairs={(2, 3): -1, (0, 1): 0, (0, 2): 3})
     trials = synthetic_trials([0.2, 0.5, 0.7, 0.4], 300, seed=3)
     assert_ledger_matches_bank(inst, trials, 3)
@@ -450,8 +450,8 @@ def test_ledger_entries_follow_sorted_terms_not_dict_order():
 def test_ledger_accepts_rows_and_arrays_alike():
     inst = IsingInstance(3, linear={1: 2}, pairs={(0, 2): -1})
     rows = [(1, 0, 1), (0, 1, 1), (1, 1, 0)]
-    a = run_proposed(inst, rows, width_b=2, log_events=True)
-    b = run_proposed(inst, np.array(rows, dtype=np.uint8), width_b=2, log_events=True)
+    a = run_proposed(inst, rows, width_b=2)
+    b = run_proposed(inst, np.array(rows, dtype=np.uint8), width_b=2)
     assert (a.bits_log, a.flush_events, a.totals) == (b.bits_log, b.flush_events, b.totals)
     with pytest.raises(ValueError, match="n_qubits"):
         run_proposed(inst, [(1, 0)], width_b=2)

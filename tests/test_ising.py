@@ -10,7 +10,6 @@ from cryoqaoa.ising import (
     IsingInstance,
     complete_instance,
     cost,
-    load_edgelist,
     load_instance,
     make_instance,
     maxcut_instance,
@@ -69,6 +68,16 @@ class TestSampledEnergy:
     def test_constant_trials_average_to_cost(self):
         z = (1, 0, 1)
         assert sampled_energy(TRIANGLE, [z] * 7) == cost(TRIANGLE, z)
+
+    def test_one_trial_equals_cost_for_float_coefficients(self):
+        # float terms given unsorted: both sums run in the order of instance.terms
+        inst = IsingInstance(
+            6,
+            linear={1: 0.1, 4: 0.7, 0: 0.7, 5: 0.7},
+            pairs={(2, 4): -0.7, (1, 3): 0.1, (3, 4): -0.7, (0, 4): -0.7, (0, 2): 0.001},
+        )
+        z = (0, 1, 1, 0, 0, 1)
+        assert sampled_energy(inst, [z]) == cost(inst, z)
 
     def test_empty_trials(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -263,17 +272,3 @@ class TestFiles:
         path.write_text("# header\nn = 2\n\n[pairs]\n0 1 = -1  # edge\n")
         inst = load_instance(path)
         assert inst.pairs == {(0, 1): -1}
-
-    def test_edgelist_import(self, tmp_path):
-        path = tmp_path / "graph.edges"
-        path.write_text("# a triangle\n0 1\n1 2\n0 2\n")
-        inst = load_edgelist(path)
-        assert inst.n_qubits == 3
-        assert inst.c_count == 3
-        assert all(v == -1 for v in inst.pairs.values())
-
-    def test_edgelist_bad_line(self, tmp_path):
-        path = tmp_path / "graph.edges"
-        path.write_text("0 1 2\n")
-        with pytest.raises(ValueError, match=r"graph\.edges:1"):
-            load_edgelist(path)
