@@ -1,7 +1,9 @@
 """Randomized and bounded-exhaustive invariant checks for the counter path.
 
 Each case drives a counter bank trial by trial next to an independent
-plain-dict tally and checks, at every trial boundary:
+running tally (a cumulative sum of the audit's own unpacked hit rule, which
+shares nothing with the packed production path) and checks, at every
+trial boundary:
 
   * reconstruction: warm units * 2^(b-1) + cold value == true tally,
   * smoothing: bits sent this trial <= ceil(M / 2^(b-1)),
@@ -27,13 +29,14 @@ import numpy as np
 from .counters import (
     CounterBank,
     CounterEntry,
+    EntryId,
     RoomTempAccumulator,
     collect_non_msbs,
     counter_energy_estimate,
     readout_entry,
     run_proposed,
 )
-from .ising import BitString, IsingInstance, format_bits, sampled_energy
+from .ising import IsingInstance, format_bits, sampled_energy, trial_array
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,14 @@ class AuditResult:
     violation: AuditViolation | None
 
 
-def _entry_hit(entry_id, z: BitString) -> int:
-    if isinstance(entry_id, tuple):
-        return int(z[entry_id[0]] != z[entry_id[1]])
-    return int(bool(z[entry_id]))
+def _entry_hits(entry_order: Sequence[EntryId], z: np.ndarray) -> np.ndarray:
+    """(T, M) hit matrix of a (T, N) trial array, one column per entry: a
+    qubit entry is hit where its bit is set, a pair entry where its two
+    bits differ."""
+    columns = [
+        z[:, e[0]] != z[:, e[1]] if isinstance(e, tuple) else z[:, e] != 0 for e in entry_order
+    ]
+    return np.stack(columns, axis=1) if columns else np.zeros((len(z), 0), dtype=bool)
 
 
 def check_case(
@@ -77,19 +84,20 @@ def check_case(
             width_b=width_b,
         )
 
+    z = trial_array(trials, instance.n_qubits)
     bank = CounterBank.for_instance(instance, width_b, fault=fault)
     bank.event_log = []
     accumulator = RoomTempAccumulator()
-    tally = {e: 0 for e in bank.entry_order}
+    entry_order = bank.entry_order
     window = bank.flush_window
     m = bank.m_in_use
     max_slice = -(-m // window)
+    # tallies[t][k]: the direct tally of entry k after trials 0..t
+    tallies = np.cumsum(_entry_hits(entry_order, z), axis=0).tolist()
     bits_log: list[int] = []
 
-    for t_idx, z in enumerate(trials):
-        bank.record_trial(z)
-        for e in tally:
-            tally[e] += _entry_hit(e, z)
+    for t_idx, row in enumerate(trials):
+        bank.record_trial(row)
         bits = bank.flush_msbs(accumulator)
         bits_log.append(bits)
         if bits > max_slice:
@@ -98,27 +106,32 @@ def check_case(
                 f"trial {t_idx} sent {bits} bits, above ceil(M/2^(b-1)) = {max_slice}",
                 t_idx,
             )
-        for e, expected in tally.items():
-            got = accumulator.upper_counts.get(e, 0) * window + bank.entries[e].value
-            if got != expected:
-                return violation(
-                    "reconstruction",
-                    f"entry {e}: warm+cold = {got}, direct tally = {expected}",
-                    t_idx,
-                )
+        units = accumulator.upper_counts
+        got = [units.get(e, 0) * window + bank.entries[e].value for e in entry_order]
+        k = _first_mismatch(got, tallies[t_idx])
+        if k is not None:
+            return violation(
+                "reconstruction",
+                f"entry {entry_order[k]}: warm+cold = {got[k]}, "
+                f"direct tally = {tallies[t_idx][k]}",
+                t_idx,
+            )
 
     if m > 0 and len(trials) >= window:
-        for start in range(len(trials) - window + 1):
-            sent = sum(bits_log[start : start + window])
-            if sent != m:
-                return violation(
-                    "window",
-                    f"window starting at trial {start} carried {sent} bits, expected M = {m}",
-                    start,
-                )
+        prefix = np.cumsum([0, *bits_log])
+        bad = np.flatnonzero(prefix[window:] - prefix[:-window] != m)
+        if len(bad):
+            start = int(bad[0])
+            sent = int(prefix[start + window] - prefix[start])
+            return violation(
+                "window",
+                f"window starting at trial {start} carried {sent} bits, expected M = {m}",
+                start,
+            )
 
     collection = collect_non_msbs(bank, accumulator)
-    for e, expected in tally.items():
+    final = tallies[-1] if tallies else [0] * m
+    for e, expected in zip(entry_order, final):
         if collection.totals[e] != expected:
             return violation(
                 "collection",
@@ -128,7 +141,7 @@ def check_case(
 
     if len(trials) > 0:
         counter_energy = counter_energy_estimate(instance, collection.totals, len(trials))
-        direct_energy = sampled_energy(instance, trials)
+        direct_energy = sampled_energy(instance, z)
         if counter_energy != direct_energy:
             return violation(
                 "energy",
@@ -136,7 +149,7 @@ def check_case(
                 len(trials) - 1,
             )
 
-    ledger = run_proposed(instance, trials, width_b)
+    ledger = run_proposed(instance, z, width_b)
     k = _first_mismatch(ledger.bits_log, tuple(bits_log))
     if k is not None:
         return violation(
@@ -157,8 +170,8 @@ def check_case(
     return None
 
 
-def _first_mismatch(ours: tuple, theirs: tuple) -> int | None:
-    """First index where two equally long tuples differ, else None."""
+def _first_mismatch(ours: Sequence, theirs: Sequence) -> int | None:
+    """First index where two equally long sequences differ, else None."""
     if ours == theirs:
         return None
     return next(k for k, (a, b) in enumerate(zip(ours, theirs)) if a != b)
@@ -166,8 +179,10 @@ def _first_mismatch(ours: tuple, theirs: tuple) -> int | None:
 
 def check_readout_roundtrip(b_values: Sequence[int]) -> AuditViolation | None:
     for b in b_values:
+        entry = CounterEntry(b)
         for v in range(1 << b):
-            event = readout_entry(CounterEntry(b, v))
+            entry.value = v
+            event = readout_entry(entry)
             if event.recovered_value != v or event.pulse_count != (1 << b) - v:
                 inst = IsingInstance(1)
                 return AuditViolation(

@@ -31,7 +31,10 @@ from .ising import (
     hit_energy,
     load_instance,
     make_instance,
+    pack_trials,
+    packed_hits,
     physical_memory,
+    term_counts,
     term_indices,
 )
 from .timing import ExecutionProfile
@@ -89,7 +92,7 @@ def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> Iterator[n
     """Row chunks of the run's (T, N) uint8 trial matrix, drawn lazily.
 
     The guard limits the size of the request, T x N bytes against physical
-    memory; the run itself holds one chunk of at most CHUNK_CELLS cells.
+    memory; the run itself holds one chunk of ``ising.row_chunks``.
     """
     n = instance.n_qubits
     memory = physical_memory()
@@ -172,9 +175,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             trace.write(f"{config_comment}\ntrial,bits_sent,entry_id,event\n")
         for z in chunks:
             first = ledger.trial_count
-            hits = counters.term_hits(z, singles, pairs)
-            counts += hits.sum(axis=0, dtype=np.int64)
-            flushes = ledger.feed(hits)
+            q = pack_trials(z)
+            counts += term_counts(q, singles, pairs)
+            flushes = ledger.feed(packed_hits(q, singles, pairs), len(z))
             if trace is not None:
                 trace.write(_flush_rows(flushes, first, tails))
         t = ledger.trial_count

@@ -23,9 +23,11 @@ Two implementations share these rules.  ``CounterBank`` steps the entries
 trial by trial; it is the reference model and the audit oracle, and holds
 the fault hooks.  ``Ledger``, the production path, derives the same
 transfers in closed form from each entry's running tally and never builds
-a bank.  It is fed one chunk of trial rows at a time and keeps only
-per-entry state, so ``run`` streams its trials through it in bounded
-memory; ``run_proposed`` feeds it a whole trial array.
+a bank.  It is fed the ``packed_hits`` of one chunk of trials at a time,
+one row of bytes per entry with 8 trials per byte (trial 8j + k in bit k
+of byte j), and keeps only per-entry state, so ``run`` streams its trials
+through it in bounded memory; ``run_proposed`` feeds it a whole trial
+array.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ from .ising import (
     IsingInstance,
     Trials,
     hit_energy,
+    pack_trials,
+    packed_hits,
     row_chunks,
     sampled_energy,
-    term_hits,
     term_indices,
     trial_array,
 )
@@ -315,8 +318,9 @@ class Ledger:
     difference of two such floors.  The residual is the cold register's
     modular value (C(T) - units*W) mod 2^b, so an entry that overflowed
     between flushes breaks the energy identity instead of being repaired.
-    Tallies and units are carried across chunks, so memory does not grow
-    with the trial count.
+    Within a chunk, C comes from a cumulative popcount per hit byte, read
+    only at flush trials.  Tallies and units are carried across chunks, so
+    memory does not grow with the trial count.
     """
 
     def __init__(self, instance: IsingInstance, width_b: int) -> None:
@@ -338,18 +342,20 @@ class Ledger:
     def total_msb_bits(self) -> int:
         return self.trial_count * self.m_in_use // self.window
 
-    def feed(self, hits: np.ndarray) -> Flushes:
-        """Advance over the next nonempty chunk of trials.
+    def feed(self, packed: np.ndarray, rows: int) -> Flushes:
+        """Advance over the next nonempty chunk of ``rows`` trials.
 
-        ``hits`` is the chunk's ``term_hits`` matrix over the columns of
-        ``term_indices``, one column per entry in entry order; a chunk has
-        at most 2^31 - 1 rows.  Raises ``LedgerError`` on an MSB other
-        than 0 or 1.
+        ``packed`` is the chunk's ``packed_hits``: one row per entry in
+        entry order, bit k of byte j set when trial 8j + k hit the entry.
+        A chunk has at most 2^31 - 1 rows.  Raises ``LedgerError`` on an
+        MSB other than 0 or 1.
         """
         m, window = self.m_in_use, self.window
-        start, stop = self.trial_count, self.trial_count + len(hits)
-        cum = np.cumsum(hits, axis=0, dtype=np.int32)
-        base, self._tally = self._tally, self._tally + cum[-1]
+        start, stop = self.trial_count, self.trial_count + rows
+        # cum[e, j]: hits of entry e in the chunk's first 8j trials
+        cum = np.zeros((m, packed.shape[1] + 1), dtype=np.int32)
+        np.cumsum(np.bitwise_count(packed), axis=1, dtype=np.int32, out=cum[:, 1:])
+        base, self._tally = self._tally, self._tally + cum[:, -1]
         self.trial_count = stop
         # a window above stop*M issues no slot; capping it keeps the int64 math in range
         bits = np.diff(np.arange(start, stop + 1, dtype=np.int64) * m // min(window, stop * m + 1))
@@ -359,7 +365,12 @@ class Ledger:
             return Flushes(slots, slots, slots, bits)
         entry = slots % m
         trial = ((slots + 1) * window + m - 1) // m
-        after = (base[entry] + cum[trial - 1 - start, entry]) // window
+        # the tally after relative trial r: whole bytes, then the low r % 8
+        # bits of byte r // 8 (any byte when r % 8 is 0, hence the clamp)
+        r = trial - start
+        byte = packed[entry, np.minimum(r >> 3, packed.shape[1] - 1)]
+        low = np.bitwise_count(byte & ((1 << (r & 7)) - 1).astype(np.uint8))
+        after = (base[entry] + cum[entry, r >> 3] + low) // window
         # the previous flush of slot s's entry is slot s - M
         before = np.concatenate((self._units[entry[:m]], after[: max(len(slots) - m, 0)]))
         msb = after - before
@@ -399,8 +410,9 @@ def run_proposed(
     singles, pairs = term_indices(instance)
     bits_log: list[int] = []
     events: list[tuple[int, EntryId, int]] = []
-    for start, stop in row_chunks(len(z), len(singles) + len(pairs)):
-        flushes = ledger.feed(term_hits(z[start:stop], singles, pairs))
+    for start, stop in row_chunks(len(z), max(instance.n_qubits, ledger.m_in_use)):
+        q = pack_trials(z[start:stop])
+        flushes = ledger.feed(packed_hits(q, singles, pairs), stop - start)
         bits_log += flushes.bits.tolist()
         entries = [entry_order[e] for e in flushes.entry.tolist()]
         events.extend(zip(flushes.trial.tolist(), entries, flushes.msb.tolist()))

@@ -10,6 +10,15 @@ Coefficients keep their exact type: integers and ``Fraction`` values flow
 through cost sums unchanged, so averaged energies can be compared exactly
 against counter-based reconstructions.  Max-cut graphs map each edge to
 ``c_ij = -1`` so that minimizing the cost maximizes the cut.
+
+Trial arrays are counted in row chunks, bit-packed along the trial axis:
+``pack_trials`` gives one row of bytes per qubit, trial 8j + k in bit k of
+byte j.  Two counts read the packed rows without sharing a hit rule.
+``term_counts`` uses popcounts alone: a pair (i, j) is hit
+n_i + n_j - 2 * n_ij times, from the ones of each qubit and of their AND;
+it gives ``sampled_energy`` and the baseline energy of ``run``.
+``packed_hits`` derives each term's hit row (a pair's is the XOR of its two
+qubit rows), which feeds the counter ledger.
 """
 
 from __future__ import annotations
@@ -29,8 +38,8 @@ Coeff = int | float | Fraction
 BitString = Sequence[int]
 Trials = np.ndarray | Sequence[BitString]
 
-# Cells (rows x columns) per chunk when a trial matrix or a per-term
-# matrix derived from it is processed in row chunks.
+# Cells (rows x columns) per chunk when a trial matrix is processed in row
+# chunks.
 CHUNK_CELLS = 1 << 18
 
 
@@ -72,7 +81,8 @@ class IsingInstance:
         then pairs ascending.
 
         This is the one term order of the package: the counter entries, the
-        ``term_hits`` columns and the order of the ``hit_energy`` sum.
+        ``packed_hits`` rows, the ``term_counts`` and the order of the
+        ``hit_energy`` sum.
         """
         singles = tuple(sorted(i for i, v in self.linear.items() if v != 0))
         pairs = tuple(sorted(p for p, v in self.pairs.items() if v != 0))
@@ -133,29 +143,59 @@ def trial_array(trials: Trials, n_qubits: int) -> np.ndarray:
 
 
 def row_chunks(t: int, width: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) row ranges over t rows, at most CHUNK_CELLS cells each."""
-    step = max(1, CHUNK_CELLS // max(width, 1))
+    """(start, stop) row ranges over t rows of ``width`` cells each.
+
+    Every step is a multiple of 8 rows, so only the last chunk can end in a
+    partly filled ``pack_trials`` byte.  A chunk holds at most CHUNK_CELLS
+    cells, except that it never has fewer than 8 rows: rows wider than
+    CHUNK_CELLS / 8 cells come 8 at a time.
+    """
+    step = max(8, CHUNK_CELLS // max(width, 1) & ~7)
     for start in range(0, t, step):
         yield start, min(start + step, t)
 
 
 def term_indices(instance: IsingInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Qubit indices of ``instance.terms``, for ``term_hits``.
+    """Qubit indices of ``instance.terms``, for ``packed_hits`` and ``term_counts``.
 
-    The single indices, then a (C, 2) array of pairs, so the hit columns
-    are the counter entries in their order.
+    The single indices, then a (C, 2) array of pairs, so the hit rows are
+    the counter entries in their order.
     """
     singles, pairs = instance.terms
     return np.array(singles, dtype=np.intp), np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
-def term_hits(z: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Hit matrix of a chunk of trial rows, one column per term.
+def pack_trials(z: np.ndarray) -> np.ndarray:
+    """A chunk of trial rows packed qubit-major along the trial axis.
 
-    ``singles`` holds qubit indices, hit where z[:, i] is set; ``pairs`` is a
-    (C, 2) index array, hit where z[:, i] ^ z[:, j] is set.
+    Returns a (N, ceil(rows / 8)) uint8 array: bit k of byte j in row i is
+    qubit i of trial 8j + k.  The pad bits of a last partial byte are 0.
     """
-    return np.concatenate((z[:, singles], z[:, pairs[:, 0]] ^ z[:, pairs[:, 1]]), axis=1)
+    return np.packbits(np.ascontiguousarray(z.T), axis=1, bitorder="little")
+
+
+def packed_hits(q: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Hit rows of packed trials, one row per term, in ``pack_trials`` layout.
+
+    ``q`` is the output of ``pack_trials``; ``singles`` holds qubit indices,
+    hit where the qubit is set; ``pairs`` is a (C, 2) index array, hit
+    where the two qubits differ (the XOR of their rows).
+    """
+    return np.concatenate((q[singles], q[pairs[:, 0]] ^ q[pairs[:, 1]]))
+
+
+def term_counts(q: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Hit count of every term over packed trials, without the XOR rule.
+
+    A single term counts the ones n_i of its qubit; a pair counts
+    n_i + n_j - 2 * n_ij, n_ij being the trials where both qubits are set.
+    This shares no hit derivation with ``packed_hits``, so the two check
+    each other.
+    """
+    ones = np.bitwise_count(q).sum(axis=1, dtype=np.int64)
+    i, j = pairs[:, 0], pairs[:, 1]
+    both = np.bitwise_count(q[i] & q[j]).sum(axis=1, dtype=np.int64)
+    return np.concatenate((ones[singles], ones[i] + ones[j] - 2 * both))
 
 
 def hit_energy(instance: IsingInstance, counts: np.ndarray, t: int) -> Coeff:
@@ -179,16 +219,16 @@ def hit_energy(instance: IsingInstance, counts: np.ndarray, t: int) -> Coeff:
 def sampled_energy(instance: IsingInstance, trials: Trials) -> Coeff:
     """Average cost over a nonempty set of trials (a 2-D bit array or rows).
 
-    Counts the hits of every term in row chunks, then weighs them with
-    ``hit_energy``.
+    Packs the trials in row chunks, counts the hits of every term with
+    ``term_counts``, then weighs them with ``hit_energy``.
     """
     if len(trials) == 0:
         raise ValueError("trials must be nonempty")
     z = trial_array(trials, instance.n_qubits)
     singles, pairs = term_indices(instance)
     counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
-    for start, stop in row_chunks(len(z), len(counts)):
-        counts += term_hits(z[start:stop], singles, pairs).sum(axis=0, dtype=np.int64)
+    for start, stop in row_chunks(len(z), max(instance.n_qubits, len(counts))):
+        counts += term_counts(pack_trials(z[start:stop]), singles, pairs)
     return hit_energy(instance, counts, len(z))
 
 
@@ -208,30 +248,27 @@ def maxcut_instance(edges: Iterable[tuple[int, int]], n: int) -> IsingInstance:
 def worstcase_instance(n: int) -> IsingInstance:
     """Densest bandwidth-relevant shape per qubit count: a path graph.
 
-    Connected, exactly N-1 pair terms, zero linear terms.
+    Connected, exactly N-1 pair terms (c_ij = -1, as in max-cut), zero
+    linear terms.
     """
     if n < 2:
         raise ValueError(f"worst-case instance needs n >= 2, got {n}")
-    inst = maxcut_instance([(i, i + 1) for i in range(n - 1)], n)
-    return IsingInstance(n_qubits=n, pairs=inst.pairs, label=f"path-{n}")
+    return IsingInstance(n, pairs={(i, i + 1): -1 for i in range(n - 1)}, label=f"path-{n}")
 
 
 def ring_instance(n: int) -> IsingInstance:
     """Max-cut on a cycle of n nodes (n edges)."""
     if n < 3:
         raise ValueError(f"ring needs n >= 3, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    inst = maxcut_instance(edges, n)
-    return IsingInstance(n_qubits=n, pairs=inst.pairs, label=f"ring-{n}")
+    return IsingInstance(n, pairs={(i, (i + 1) % n): -1 for i in range(n)}, label=f"ring-{n}")
 
 
 def complete_instance(n: int) -> IsingInstance:
     """Max-cut on the complete graph K_n."""
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    inst = maxcut_instance(edges, n)
-    return IsingInstance(n_qubits=n, pairs=inst.pairs, label=f"complete-{n}")
+    pairs = {(i, j): -1 for i in range(n) for j in range(i + 1, n)}
+    return IsingInstance(n, pairs=pairs, label=f"complete-{n}")
 
 
 def physical_memory() -> int:

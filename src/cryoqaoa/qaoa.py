@@ -3,7 +3,7 @@
 Basis convention: qubit i is bit i of the amplitude index (little-endian).
 Both trial sources draw a (T, N) uint8 array: row t is trial t and
 column i is qubit i, so a row z has z[i] = qubit i.  ``sample_chunks`` and
-``synthetic_chunks`` yield it in row chunks of at most CHUNK_CELLS cells,
+``synthetic_chunks`` yield it in the row chunks of ``ising.row_chunks``,
 so a consumer never holds all T rows; ``sample`` and ``synthetic_trials``
 return it whole.  The phase separator applies exp(-i*gamma*cost(z)) per
 basis state with the classical cost; the mixer applies exp(-i*beta*X) on
@@ -67,14 +67,23 @@ def phase_costs(instance: IsingInstance) -> np.ndarray:
     return costs
 
 
-def _apply_mixer(state: np.ndarray, qubit: int, beta: float, n: int) -> None:
-    """In-place exp(-i*beta*X) on one qubit."""
+def _apply_mixer(state: np.ndarray, qubit: int, beta: float, n: int, scratch: np.ndarray) -> None:
+    """In-place exp(-i*beta*X) on one qubit.
+
+    ``scratch`` is working space of 2^N amplitudes; its two halves take the
+    s * amplitude terms, so no half of the state is copied.
+    """
     c = math.cos(beta)
     s = -1j * math.sin(beta)
     view = state.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
-    a0 = view[:, 0, :].copy()
-    view[:, 0, :] = c * a0 + s * view[:, 1, :]
-    view[:, 1, :] = c * view[:, 1, :] + s * a0
+    a0, a1 = view[:, 0, :], view[:, 1, :]
+    s0, s1 = (half.reshape(a0.shape) for half in scratch.reshape(2, -1))
+    np.multiply(s, a0, out=s0)
+    np.multiply(s, a1, out=s1)
+    np.multiply(c, a0, out=a0)
+    np.add(a0, s1, out=a0)  # c*a0 + s*a1
+    np.multiply(c, a1, out=a1)
+    np.add(a1, s0, out=a1)  # c*a1 + s*a0
 
 
 def prepare_state(
@@ -103,10 +112,11 @@ def _evolve(costs: np.ndarray, params: QaoaParams) -> np.ndarray:
     """The circuit of ``prepare_state`` on the basis-state costs it returns."""
     n = len(costs).bit_length() - 1
     state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+    scratch = np.empty_like(state)
     for gamma, beta in zip(params.gammas, params.betas):
-        state *= np.exp(-1j * gamma * costs)
+        state *= np.exp(np.multiply(-1j * gamma, costs, out=scratch), out=scratch)
         for q in range(n):
-            _apply_mixer(state, q, beta, n)
+            _apply_mixer(state, q, beta, n, scratch)
     return state
 
 
@@ -115,8 +125,8 @@ def sample_chunks(
 ) -> Iterator[np.ndarray]:
     """Draw t independent bitstrings from |amplitude|^2, deterministically.
 
-    Yields (rows, N) uint8 arrays of consecutive trials, at most
-    CHUNK_CELLS cells each; column i is bit i of the drawn index.  The
+    Yields (rows, N) uint8 arrays of consecutive trials, in the row chunks
+    of ``row_chunks``; column i is bit i of the drawn index.  The
     uniforms of each chunk continue one generator stream, so the rows equal
     those of one whole draw.
     """
@@ -156,8 +166,8 @@ def synthetic_chunks(
 ) -> Iterator[np.ndarray]:
     """Deterministic Bernoulli bitstrings with the given per-qubit one-rates.
 
-    Yields (rows, N) uint8 arrays of consecutive trials, at most
-    CHUNK_CELLS cells each.  The uniforms are drawn chunk by chunk, which
+    Yields (rows, N) uint8 arrays of consecutive trials, in the row chunks
+    of ``row_chunks``.  The uniforms are drawn chunk by chunk, which
     consumes the generator stream exactly as one (t, N) draw would.
     """
     if t < 1:

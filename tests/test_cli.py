@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cryoqaoa
@@ -191,21 +192,34 @@ class TestRun:
         assert values["energies_equal"] == "true"
 
     def test_impossible_ledger_transfer_exits_1(self, capsys, monkeypatch):
-        import cryoqaoa.counters as counters
-
-        real = counters.term_hits
-        monkeypatch.setattr(counters, "term_hits", lambda *args: 2 * real(*args))
+        # a popcount that counts every hit bit twice: the ledger derives MSBs of 2
+        real = np.bitwise_count
+        monkeypatch.setattr(np, "bitwise_count", lambda a: 2 * real(a))
         code, _, err = run_cli(
             capsys, "run", "--generator", "ring:4", "--trials", "64", "--counter-bits", "3"
         )
         assert code == 1
         assert "invariant violation: derived MSB" in err
 
-    def test_failed_run_leaves_no_trace(self, capsys, monkeypatch, tmp_path):
-        import cryoqaoa.counters as counters
+    def test_and_for_xor_pair_rule_exits_1(self, capsys, monkeypatch):
+        # the ledger's pairs hit where both qubits are set; the baseline counts
+        # pairs without the ledger's rule, so the energies differ
+        import cryoqaoa.cli as cli
 
-        real = counters.term_hits
-        monkeypatch.setattr(counters, "term_hits", lambda *args: 2 * real(*args))
+        def and_hits(q, singles, pairs):
+            return np.concatenate((q[singles], q[pairs[:, 0]] & q[pairs[:, 1]]))
+
+        monkeypatch.setattr(cli, "packed_hits", and_hits)
+        code, out, err = run_cli(
+            capsys, "run", "--generator", "ring:8", "--trials", "1000", "--seed", "7"
+        )
+        assert code == 1
+        assert summary_dict(out)["energies_equal"] == "false"
+        assert "invariant violation" in err
+
+    def test_failed_run_leaves_no_trace(self, capsys, monkeypatch, tmp_path):
+        real = np.bitwise_count
+        monkeypatch.setattr(np, "bitwise_count", lambda a: 2 * real(a))
         trace = tmp_path / "trace.csv"
         code, _, err = run_cli(
             capsys,
@@ -393,6 +407,10 @@ class TestAudit:
         )
         assert code == 1
         assert "at trial" in err
+        assert err.splitlines()[0] == (
+            "invariant violation [reconstruction] at trial 7: "
+            "entry 0: warm+cold = 1, direct tally = 5"
+        )
         text = dump.read_text()
         assert "divergence_trial =" in text
         assert "[trials]" in text

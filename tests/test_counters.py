@@ -20,8 +20,10 @@ from cryoqaoa.ising import (
     CHUNK_CELLS,
     IsingInstance,
     hit_energy,
+    pack_trials,
+    packed_hits,
     sampled_energy,
-    term_hits,
+    term_counts,
     term_indices,
     worstcase_instance,
 )
@@ -420,9 +422,9 @@ def test_ledger_fed_uneven_chunks_matches_whole_array(b):
     counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
     bits_log, events = [], []
     for rows in np.split(trials, [1, 334]):
-        hits = term_hits(rows, singles, pairs)
-        counts += hits.sum(axis=0, dtype=np.int64)
-        flushes = ledger.feed(hits)
+        q = pack_trials(rows)
+        counts += term_counts(q, singles, pairs)
+        flushes = ledger.feed(packed_hits(q, singles, pairs), len(rows))
         bits_log += flushes.bits.tolist()
         entries = [ledger.entry_order[e] for e in flushes.entry.tolist()]
         events += zip(flushes.trial.tolist(), entries, flushes.msb.tolist())

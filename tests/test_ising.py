@@ -13,8 +13,12 @@ from cryoqaoa.ising import (
     load_instance,
     make_instance,
     maxcut_instance,
+    pack_trials,
+    packed_hits,
     ring_instance,
+    row_chunks,
     sampled_energy,
+    term_counts,
     worstcase_instance,
 )
 
@@ -218,6 +222,52 @@ def test_sampled_energy_across_chunks_matches_per_trial_cost(kind):
         # summed per term instead of per trial: equal to within rounding
         scale = sum(abs(v) for v in [*linear.values(), *pairs.values()])
         assert abs(energy - direct / t) <= 1e-12 * scale
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 70),
+    st.lists(st.integers(1, 69), max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_packed_hits_and_term_counts_match_unpacked_oracle(n, t, cuts, seed):
+    # every single and pair term, over chunks cut at arbitrary rows
+    z = np.random.default_rng(seed).integers(0, 2, size=(t, n)).astype(np.uint8)
+    singles = np.arange(n)
+    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.intp)
+    pairs = pairs.reshape(-1, 2)
+    counts = np.zeros(n + len(pairs), dtype=np.int64)
+    for rows in np.split(z, sorted({c for c in cuts if c < t})):
+        direct = np.concatenate(
+            (rows[:, singles] != 0, rows[:, pairs[:, 0]] != rows[:, pairs[:, 1]]), axis=1
+        ).T
+        q = pack_trials(rows)
+        hits = packed_hits(q, singles, pairs)
+        assert hits.shape == (len(direct), -(-len(rows) // 8))
+        unpacked = np.unpackbits(hits, axis=1, count=len(rows), bitorder="little")
+        assert np.array_equal(unpacked, direct)
+        # the pad bits of the last byte are clear
+        assert np.array_equal(np.bitwise_count(hits).sum(axis=1), direct.sum(axis=1))
+        chunk_counts = term_counts(q, singles, pairs)
+        assert np.array_equal(chunk_counts, direct.sum(axis=1))
+        counts += chunk_counts
+    whole = [*(z[:, i].sum() for i in singles), *((z[:, i] != z[:, j]).sum() for i, j in pairs)]
+    assert counts.tolist() == whole
+
+
+@pytest.mark.parametrize(
+    "width", [1, 3, 40, 750, 1000, CHUNK_CELLS // 8, CHUNK_CELLS // 8 + 1, 2 * CHUNK_CELLS]
+)
+def test_row_chunk_steps_are_multiples_of_8(width):
+    t = 3 * CHUNK_CELLS // width + 29
+    chunks = list(row_chunks(t, width))
+    assert chunks[0][0] == 0 and chunks[-1][1] == t
+    assert all(stop == start for (_, stop), (start, _) in zip(chunks, chunks[1:]))
+    sizes = [stop - start for start, stop in chunks]
+    assert all(size == sizes[0] and size % 8 == 0 for size in sizes[:-1])
+    # the largest multiple of 8 rows within CHUNK_CELLS, and never below 8
+    assert sizes[0] * width <= CHUNK_CELLS or sizes[0] == 8
+    assert (sizes[0] + 8) * width > CHUNK_CELLS
 
 
 def test_sampled_energy_rejects_wrong_width():
