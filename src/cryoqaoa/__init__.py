@@ -32,7 +32,6 @@ from .bandwidth import (
     bw_non_msb_bps,
     choose_b,
     resolve_width,
-    reduction_ratio,
     asymptotic_reduction_ratio,
     overhead_factor,
     min_collection_time_ns,

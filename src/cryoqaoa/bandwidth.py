@@ -46,12 +46,11 @@ def bw_inst_bps(
     return max(first, last)
 
 
-def bw_meas_bps(timings: GateTimings, s: int, c: int, n: int, l: int, p: int) -> float:
+def bw_meas_bps(n: int, t_qc_ns: float) -> float:
     """Baseline readout rate: N bits per circuit execution."""
-    t_qc = circuit_time_ns(timings, s, c, n, l, p)
-    if t_qc <= 0:
+    if t_qc_ns <= 0:
         raise ValueError("circuit time must be positive")
-    return n / t_qc * _NS_PER_S
+    return n / t_qc_ns * _NS_PER_S
 
 
 def bw_msb_bps(m: int, b: int, t_qc_ns: float) -> float:
@@ -122,17 +121,6 @@ def resolve_width(counter_bits: int | str, t: int, r: float) -> ChosenB:
     return ChosenB(b, _fits_budget(b, t, r))
 
 
-def reduction_ratio(m: int, b: int, n: int) -> float:
-    """Proposed-over-baseline bandwidth ratio, (M/N) / 2^(b-1).
-
-    The circuit time cancels between the two rates.  With M = N-1 this
-    approaches 2^(1-b) from below as N grows.
-    """
-    if b < 2:
-        raise ValueError(f"counter width must be >= 2, got {b}")
-    return m / (n * (1 << (b - 1)))
-
-
 def asymptotic_reduction_ratio(b: int) -> float:
     """Worst-case (M = N-1) ratio in the large-N limit: 2^(1-b)."""
     if b < 1:
@@ -170,8 +158,7 @@ def staircase_sweep(
     """
     if not t_values or not r_grid:
         raise ValueError("sweep grids must be nonempty")
-    t_qc = per_qubit_circuit_time_ns(DEFAULT_TIMINGS)
-    bw_meas = n / t_qc * _NS_PER_S
+    bw_meas = bw_meas_bps(n, per_qubit_circuit_time_ns(DEFAULT_TIMINGS))
     rows = []
     for t in t_values:
         for r in r_grid:
@@ -225,7 +212,7 @@ def bandwidth_report(
     m = s + c
     t_qc = circuit_time_ns(timings, s, c, n, l, p)
     t_c_ns = min_collection_time_ns(b, t_qc)
-    meas = bw_meas_bps(timings, s, c, n, l, p)
+    meas = bw_meas_bps(n, t_qc)
     if m >= 1:
         msb = bw_msb_bps(m, b, t_qc)
         non_msb = bw_non_msb_bps(m, b, t_c_ns)

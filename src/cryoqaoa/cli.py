@@ -24,8 +24,8 @@ from typing import Any, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import audit as audit_mod
-from . import bandwidth, counters, power, qaoa, timing
-from .config import ScenarioConfig, apply_overrides, load_scenario, resolved_items
+from . import bandwidth, counters, power, qaoa
+from .config import _PARSERS, ScenarioConfig, load_scenario, resolved_items
 from .ising import (
     IsingInstance,
     hit_energy,
@@ -71,13 +71,6 @@ def _entry_id_str(entry_id) -> str:
     return str(entry_id)
 
 
-def _load_config(args: argparse.Namespace, overrides: dict[str, Any]) -> ScenarioConfig:
-    config = load_scenario(args.config) if args.config else ScenarioConfig()
-    if getattr(args, "seed", None) is not None:
-        overrides = {**overrides, "seed": args.seed}
-    return apply_overrides(config, overrides)
-
-
 def _resolve_instance(config: ScenarioConfig) -> IsingInstance:
     path = config.instance_path()
     if path is not None:
@@ -91,27 +84,30 @@ def _resolve_instance(config: ScenarioConfig) -> IsingInstance:
 def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> Iterator[np.ndarray]:
     """Row chunks of the run's (T, N) uint8 trial matrix, drawn lazily.
 
-    The guard limits the size of the request, T x N bytes against physical
-    memory; the run itself holds one chunk of ``ising.row_chunks``.
+    The run holds one chunk of ``ising.row_chunks`` at a time.  The one
+    allocation that grows with T is the optimizer's (T // 10, N) sample per
+    evaluation, so an exact source with ``optimize_steps > 0`` is refused
+    before it starts when that sample exceeds physical memory.
     """
     n = instance.n_qubits
-    memory = physical_memory()
-    if config.trials * n > memory:
-        raise ValueError(
-            f"the T={config.trials} x N={n} trial matrix needs {config.trials * n} bytes, "
-            f"more than physical memory ({memory} bytes)"
-        )
     source = config.source
     if source == "auto":
         source = "exact" if n <= config.statevector_limit else "synthetic"
     if source == "synthetic":
         return qaoa.synthetic_chunks((config.marginal,) * n, config.trials, config.seed)
-    params = qaoa.QaoaParams(config.gammas, config.betas, config.param_bits)
+    params = qaoa.QaoaParams(config.gammas, config.betas)
     if config.optimize_steps > 0:
+        per_step = max(1, config.trials // 10)
+        memory = physical_memory()
+        if per_step * n > memory:
+            raise ValueError(
+                f"the optimizer's T/10={per_step} x N={n} sample needs {per_step * n} bytes, "
+                f"more than physical memory ({memory} bytes)"
+            )
         params, _ = qaoa.optimize(
             instance,
             params,
-            trials_per_step=max(1, config.trials // 10),
+            trials_per_step=per_step,
             steps=config.optimize_steps,
             seed=config.seed,
             max_qubits=config.statevector_limit,
@@ -121,28 +117,9 @@ def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> Iterator[n
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    overrides: dict[str, Any] = {
-        key: getattr(args, key)
-        for key in (
-            "trials",
-            "layers",
-            "param_bits",
-            "overhead_budget",
-            "source",
-            "marginal",
-            "optimize_steps",
-            "statevector_limit",
-        )
-    }
-    if args.parallelism is not None:
-        overrides["parallelism"] = (
-            "full" if args.parallelism == "full" else int(args.parallelism)
-        )
-    if args.counter_bits is not None:
-        overrides["counter_bits"] = (
-            "auto" if args.counter_bits == "auto" else int(args.counter_bits)
-        )
-    config = _load_config(args, overrides)
+    config = load_scenario(args.config) if args.config else ScenarioConfig()
+    flags = {key: getattr(args, key) for key in _RUN_KEYS}
+    config = replace(config, **{key: v for key, v in flags.items() if v is not None})
     if args.instance is not None:
         config = replace(config, instance=args.instance, generator=None, base_dir=".")
     elif args.generator is not None:
@@ -374,12 +351,33 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 1
 
 
+# The scenario keys that `run` also takes as flags: --trials, --param-bits, ...
+_RUN_KEYS = (
+    "trials", "layers", "parallelism", "param_bits", "counter_bits", "overhead_budget",
+    "source", "marginal", "optimize_steps", "statevector_limit", "seed",
+)
+
+
+def _key_type(key: str):
+    """The key's config parser as an argparse ``type`` that keeps its message."""
+    parse = _PARSERS[key]
+
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="scenario config file")
-    common.add_argument("--seed", type=int, help="override the RNG seed")
-    common.add_argument("--out", help="write primary output to this path")
-    common.add_argument("--quiet", action="store_true", help="suppress progress chatter")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress progress chatter")
+    output = argparse.ArgumentParser(add_help=False, parents=[quiet])
+    output.add_argument("--out", help="write primary output to this path")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="override the RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="cryoqaoa",
@@ -387,35 +385,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[common], help="end-to-end scenario run")
+    p_run = sub.add_parser("run", parents=[output], help="end-to-end scenario run")
+    p_run.add_argument("--config", help="scenario config file")
     p_run.add_argument("--instance", help="instance file path")
     p_run.add_argument("--generator", help="instance generator, e.g. ring:8")
-    p_run.add_argument("--trials", type=int)
-    p_run.add_argument("--layers", type=int)
-    p_run.add_argument("--parallelism")
-    p_run.add_argument("--param-bits", dest="param_bits", type=int)
-    p_run.add_argument("--counter-bits", dest="counter_bits")
-    p_run.add_argument("--overhead-budget", dest="overhead_budget", type=float)
-    p_run.add_argument("--source", choices=["auto", "exact", "synthetic"])
-    p_run.add_argument("--marginal", type=float)
-    p_run.add_argument("--optimize-steps", dest="optimize_steps", type=int)
-    p_run.add_argument("--statevector-limit", dest="statevector_limit", type=int)
+    for key in _RUN_KEYS:
+        p_run.add_argument("--" + key.replace("_", "-"), dest=key, type=_key_type(key))
     p_run.add_argument("--trace", help="write per-event transfer CSV to this path")
     p_run.set_defaults(func=cmd_run)
 
-    p_a = sub.add_parser("fig5a", parents=[common], help="bandwidth staircase sweep CSV")
+    # fig5a and fig5b ignore --seed; they take it so every call may end with one
+    p_a = sub.add_parser("fig5a", parents=[output, seeded], help="bandwidth staircase sweep CSV")
     p_a.add_argument("--t-list", default="1e3,1e4,1e5,1e6,1e7")
     p_a.add_argument("--r-grid", default="0.001,0.002,0.005,0.01,0.02,0.05,0.1,0.2,0.5")
     p_a.add_argument("--n-qubits", dest="n_qubits", type=int, default=750)
     p_a.set_defaults(func=cmd_fig5a)
 
-    p_b = sub.add_parser("fig5b", parents=[common], help="power comparison sweep CSV")
+    p_b = sub.add_parser("fig5b", parents=[output, seeded], help="power comparison sweep CSV")
     p_b.add_argument("--n-min", dest="n_min", type=int, default=2)
     p_b.add_argument("--n-max", dest="n_max", type=int, default=4096)
     p_b.add_argument("--b-policy", dest="b_policy", default="log2")
     p_b.set_defaults(func=cmd_fig5b)
 
-    p_audit = sub.add_parser("audit", parents=[common], help="invariant suite")
+    p_audit = sub.add_parser("audit", parents=[quiet, seeded], help="invariant suite")
     p_audit.add_argument("--cases", type=int, default=200)
     p_audit.add_argument("--n-max", dest="n_max", type=int, default=8)
     p_audit.add_argument("--t-max", dest="t_max", type=int, default=200)

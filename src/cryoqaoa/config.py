@@ -2,36 +2,54 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .timing import GateTimings, PRESETS
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
+def _int_at_least(low: int, word: str | None = None) -> Callable[[str], int | str]:
+    """Parser of an integer >= ``low``, or of the literal ``word`` if given."""
+    rule = f"{word!r} or an integer >= {low}" if word else f"an integer >= {low}"
 
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_int_or_word(word: str):
     def parse(text: str) -> int | str:
         if text == word:
-            return word
-        return int(text)
+            return text
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be {rule}, got {value}")
+        return value
 
     return parse
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.replace(",", " ").split())
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"must be a finite number > 0, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise ValueError(f"must be in [0, 1], got {value}")
+    return value
+
+
+def _source(text: str) -> str:
+    if text not in ("auto", "exact", "synthetic"):
+        raise ValueError(f"must be auto, exact, or synthetic, got {text!r}")
+    return text
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    values = tuple(float(part) for part in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
 
 
 @dataclass(frozen=True)
@@ -83,22 +101,10 @@ class ScenarioConfig:
         return replace(base, **overrides) if overrides else base
 
     def validate(self) -> None:
+        """The rules that tie keys together; each key's own range is checked
+        by its parser in ``_PARSERS``."""
         if self.instance is None and self.generator is None:
             raise ValueError("config needs an 'instance' path or a 'generator' spec")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.source not in ("auto", "exact", "synthetic"):
-            raise ValueError(f"source must be auto, exact, or synthetic, got {self.source!r}")
-        if not 0 <= self.marginal <= 1:
-            raise ValueError(f"marginal must be in [0, 1], got {self.marginal}")
-        if self.overhead_budget <= 0:
-            raise ValueError(f"overhead_budget must be positive, got {self.overhead_budget}")
-        if isinstance(self.counter_bits, int) and self.counter_bits < 2:
-            raise ValueError(f"counter_bits must be >= 2, got {self.counter_bits}")
-        if isinstance(self.parallelism, int) and self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if len(self.gammas) != len(self.betas):
             raise ValueError("gammas and betas must have the same length")
         self.gate_timings()
@@ -112,29 +118,31 @@ class ScenarioConfig:
         return path
 
 
-_PARSERS: dict[str, Any] = {
-    "instance": _parse_str,
-    "generator": _parse_str,
-    "timings": _parse_str,
-    "t_reset_ns": _parse_float,
-    "t_init_ns": _parse_float,
-    "t_rx_ns": _parse_float,
-    "t_rz_ns": _parse_float,
-    "t_cnot_ns": _parse_float,
-    "t_meas_ns": _parse_float,
-    "trials": _parse_int,
-    "layers": _parse_int,
-    "parallelism": _parse_int_or_word("full"),
-    "param_bits": _parse_int,
-    "counter_bits": _parse_int_or_word("auto"),
-    "overhead_budget": _parse_float,
-    "source": _parse_str,
-    "marginal": _parse_float,
-    "gammas": _parse_floats,
-    "betas": _parse_floats,
-    "optimize_steps": _parse_int,
-    "seed": _parse_int,
-    "statevector_limit": _parse_int,
+# The one rule per key: text to value, range checked.  Scenario files and
+# the `run` flags both parse through it.
+_PARSERS: dict[str, Callable[[str], Any]] = {
+    "instance": str,
+    "generator": str,
+    "timings": str,
+    "t_reset_ns": float,
+    "t_init_ns": float,
+    "t_rx_ns": float,
+    "t_rz_ns": float,
+    "t_cnot_ns": float,
+    "t_meas_ns": float,
+    "trials": _int_at_least(1),
+    "layers": _int_at_least(1),
+    "parallelism": _int_at_least(1, "full"),
+    "param_bits": _int_at_least(1),
+    "counter_bits": _int_at_least(2, "auto"),
+    "overhead_budget": _positive_float,
+    "source": _source,
+    "marginal": _fraction,
+    "gammas": _floats,
+    "betas": _floats,
+    "optimize_steps": _int_at_least(0),
+    "seed": int,
+    "statevector_limit": int,
 }
 
 
@@ -156,12 +164,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return ScenarioConfig(**values)
-
-
-def apply_overrides(config: ScenarioConfig, overrides: dict[str, Any]) -> ScenarioConfig:
-    """CLI flags win over config-file keys; None means not given."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **updates) if updates else config
 
 
 def resolved_items(config: ScenarioConfig) -> list[tuple[str, Any]]:

@@ -276,10 +276,11 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-# Peak bytes per pair term while a generator builds its instance, measured
-# at 339-389 B on complete:1000, complete:2000 and path:500000 (CPython
-# 3.11, 64-bit).
-GENERATOR_BYTES_PER_TERM = 400
+# Peak bytes per pair term while a generator builds its instance, by
+# tracemalloc (CPython 3.11, 64-bit): at most 326 B, on path and ring sizes
+# just past a dict resize (e.g. path:349527); 300 B on path:200000 and
+# 283 B on complete:600.
+GENERATOR_BYTES_PER_TERM = 330
 
 
 def make_instance(spec: str) -> IsingInstance:

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bandwidth import bw_msb_bps, clamp_width
-from .timing import _NS_PER_S, DEFAULT_TIMINGS, per_qubit_circuit_time_ns
+from .bandwidth import bw_meas_bps, bw_msb_bps, clamp_width
+from .timing import DEFAULT_TIMINGS, per_qubit_circuit_time_ns
 
 # Absorbs float rounding when a bandwidth lands exactly on a capacity
 # multiple; far below the smallest physical increment of interest.
@@ -138,7 +138,7 @@ def system_comparison(
     for n in n_range:
         if n < 2:
             raise ValueError(f"comparison needs n >= 2, got {n}")
-        bw_base = n / t_qc_ns * _NS_PER_S
+        bw_base = bw_meas_bps(n, t_qc_ns)
         cables_base, cable_mw_base = cable_power(bw_base, cable)
         baseline = PowerReport(
             n_qubits=n,

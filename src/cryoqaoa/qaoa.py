@@ -30,11 +30,10 @@ DEFAULT_MAX_QUBITS = 16
 
 @dataclass(frozen=True)
 class QaoaParams:
-    """Per-layer angles plus the wire width of one parameter word."""
+    """Per-layer angles of the phase separator and the mixer."""
 
     gammas: tuple[float, ...]
     betas: tuple[float, ...]
-    param_bitwidth: int = 32
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
@@ -45,8 +44,6 @@ class QaoaParams:
             )
         if len(self.gammas) < 1:
             raise ValueError("need at least one layer")
-        if self.param_bitwidth < 1:
-            raise ValueError(f"param_bitwidth must be >= 1, got {self.param_bitwidth}")
 
     @property
     def n_layers(self) -> int:
@@ -199,7 +196,7 @@ class OptStep:
     best_energy: float
 
 
-def _grid_candidates(l: int, bitwidth: int) -> list[QaoaParams]:
+def _grid_candidates(l: int) -> list[QaoaParams]:
     # 8x8 coarse grid, broadcast to all layers; includes the exact optima of
     # small max-cut landscapes (multiples of pi/4 and pi/8).
     out = []
@@ -207,7 +204,7 @@ def _grid_candidates(l: int, bitwidth: int) -> list[QaoaParams]:
         for bi in range(8):
             gamma = gi * math.pi / 4
             beta = bi * math.pi / 8
-            out.append(QaoaParams((gamma,) * l, (beta,) * l, bitwidth))
+            out.append(QaoaParams((gamma,) * l, (beta,) * l))
     return out
 
 
@@ -251,7 +248,7 @@ def optimize(
         return initial, trace
 
     l = initial.n_layers
-    candidates = iter(_grid_candidates(l, initial.param_bitwidth))
+    candidates = iter(_grid_candidates(l))
     step_size = math.pi / 8
     coord = 0
     sign = 1
@@ -264,7 +261,7 @@ def optimize(
                 gammas[coord] += sign * step_size
             else:
                 betas[coord - l] += sign * step_size
-            params = QaoaParams(tuple(gammas), tuple(betas), initial.param_bitwidth)
+            params = QaoaParams(tuple(gammas), tuple(betas))
             if sign == 1:
                 sign = -1
             else:

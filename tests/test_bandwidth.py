@@ -14,7 +14,6 @@ from cryoqaoa.bandwidth import (
     choose_b,
     min_collection_time_ns,
     overhead_factor,
-    reduction_ratio,
     resolve_width,
     staircase_sweep,
 )
@@ -45,17 +44,17 @@ class TestInstructionBandwidth:
 class TestMeasurementBandwidth:
     def test_one_bit_per_second(self):
         slow = GateTimings(0, 0, 0, 0, 0, 1e9)  # 1 s measurement
-        assert bw_meas_bps(slow, 0, 0, 1, l=0, p=1) == pytest.approx(1.0)
+        assert bw_meas_bps(1, circuit_time_ns(slow, 0, 0, 1, l=0, p=1)) == pytest.approx(1.0)
 
     def test_doubling_parallelism_doubles_rate(self):
-        one = bw_meas_bps(DEFAULT_TIMINGS, 0, 9, 10, 1, 1)
-        two = bw_meas_bps(DEFAULT_TIMINGS, 0, 9, 10, 1, 2)
+        one = bw_meas_bps(10, circuit_time_ns(DEFAULT_TIMINGS, 0, 9, 10, 1, 1))
+        two = bw_meas_bps(10, circuit_time_ns(DEFAULT_TIMINGS, 0, 9, 10, 1, 2))
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_zero_circuit_time_rejected(self):
         zero = GateTimings(0, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="positive"):
-            bw_meas_bps(zero, 0, 0, 4, 1, 4)
+            bw_meas_bps(4, circuit_time_ns(zero, 0, 0, 4, 1, 4))
 
 
 class TestMsbBandwidth:
@@ -132,15 +131,10 @@ class TestReductionRatio:
     def test_matches_rate_quotient(self):
         n, m, b = 100, 99, 4
         t_qc = circuit_time_ns(DEFAULT_TIMINGS, 0, n - 1, n, 1, n)
-        quotient = bw_msb_bps(m, b, t_qc) / bw_meas_bps(DEFAULT_TIMINGS, 0, n - 1, n, 1, n)
-        assert reduction_ratio(m, b, n) == pytest.approx(quotient, rel=1e-12)
-
-    def test_halves_exactly_per_increment(self):
-        for b in range(2, 20):
-            assert reduction_ratio(9, b + 1, 10) == reduction_ratio(9, b, 10) / 2
-
-    def test_b2_form(self):
-        assert reduction_ratio(6, 2, 10) == 6 / 10 / 2
+        quotient = bw_msb_bps(m, b, t_qc) / bw_meas_bps(n, t_qc)
+        report = bandwidth_report(DEFAULT_TIMINGS, 0, m, n, 1, n, 32, 1000, b)
+        assert report.reduction_ratio == pytest.approx(quotient, rel=1e-12)
+        assert report.reduction_ratio == pytest.approx(m / (n * 2 ** (b - 1)), rel=1e-12)
 
     def test_asymptotic_values(self):
         assert asymptotic_reduction_ratio(4) == 0.125  # 87.5% reduction
@@ -164,12 +158,12 @@ def test_measurement_dominates_instruction_transfer_at_scale():
     linearly, so measurement dominates beyond roughly
     2*b_p*t_qc/(t_reset+t_init) qubits (about 14*b_p at default timings)."""
     for n in (1024, 2048, 4096):
-        meas = bw_meas_bps(DEFAULT_TIMINGS, 0, n - 1, n, 1, n)
+        meas = bw_meas_bps(n, circuit_time_ns(DEFAULT_TIMINGS, 0, n - 1, n, 1, n))
         for b_p in (1, 8, 16, 32, 64):
             assert bw_inst_bps(DEFAULT_TIMINGS, 0, n - 1, n, 1, n, b_p) < meas
     # below that scale wide parameters can still dominate
     n = 128
-    meas = bw_meas_bps(DEFAULT_TIMINGS, 0, n - 1, n, 1, n)
+    meas = bw_meas_bps(n, circuit_time_ns(DEFAULT_TIMINGS, 0, n - 1, n, 1, n))
     assert bw_inst_bps(DEFAULT_TIMINGS, 0, n - 1, n, 1, n, 64) > meas
     assert bw_inst_bps(DEFAULT_TIMINGS, 0, n - 1, n, 1, n, 8) < meas
 

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 import cryoqaoa
+import cryoqaoa.cli as cli
 from cryoqaoa.cli import main
 from cryoqaoa.config import ScenarioConfig, load_scenario
+from cryoqaoa.ising import make_instance
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -123,18 +126,35 @@ class TestRun:
         assert "bad.instance:3" in err
 
     def test_trial_matrix_beyond_memory_exits_2(self, capsys):
+        # the optimizer holds T // 10 trials of each evaluation at once
         code, _, err = run_cli(
             capsys,
             "run",
             "--generator",
-            "path:750",
+            "ring:8",
             "--source",
-            "synthetic",
+            "exact",
             "--trials",
-            "1000000000000",
+            "100000000000000",
+            "--optimize-steps",
+            "1",
         )
         assert code == 2
-        assert "T=1000000000000" in err and "N=750" in err
+        assert "T/10=10000000000000" in err and "N=8" in err
+
+    def test_memory_guard_covers_only_the_optimizer_sample(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "physical_memory", lambda: 1000)
+        # 1000 x 40 trial bytes requested, streamed in chunks: not refused
+        config = ScenarioConfig(generator="path:40", source="synthetic", trials=1000)
+        assert inspect.isgenerator(cli._build_trials(config, make_instance("path:40")))
+        synthetic = ("run", "--generator", "path:40", "--source", "synthetic", "--trials", "1000")
+        assert run_cli(capsys, *synthetic)[0] == 0
+        exact = ("run", "--generator", "ring:8", "--source", "exact", "--trials", "2000")
+        assert run_cli(capsys, *exact)[0] == 0
+        # with the optimizer, 200 x 8 bytes in one sample: refused
+        code, _, err = run_cli(capsys, *exact, "--optimize-steps", "2")
+        assert code == 2
+        assert "T/10=200 x N=8" in err and "(1000 bytes)" in err
 
     @pytest.mark.parametrize(
         "spec, terms",
@@ -319,6 +339,95 @@ class TestRun:
         assert "seed=3" in first
 
 
+# One valid, non-default value per `run` key
+RUN_KEY_VALUES = {
+    "trials": "64",
+    "layers": "2",
+    "parallelism": "2",
+    "param_bits": "8",
+    "counter_bits": "3",
+    "overhead_budget": "0.1",
+    "source": "synthetic",
+    "marginal": "0.25",
+    "optimize_steps": "2",
+    "statevector_limit": "3",
+    "seed": "5",
+}
+
+# Values each key's parser refuses
+BAD_RUN_VALUES = [
+    ("trials", "0"),
+    ("trials", "soon"),
+    ("layers", "0"),
+    ("parallelism", "0"),
+    ("parallelism", "some"),
+    ("param_bits", "0"),
+    ("param_bits", "-3"),
+    ("counter_bits", "1"),
+    ("overhead_budget", "0"),
+    ("overhead_budget", "inf"),
+    ("source", "bogus"),
+    ("marginal", "1.5"),
+    ("marginal", "nan"),
+    ("optimize_steps", "-1"),
+]
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestRunKeys:
+    def test_every_run_key_covered(self):
+        assert set(RUN_KEY_VALUES) == set(cli._RUN_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(RUN_KEY_VALUES))
+    def test_flag_and_file_line_resolve_alike(self, capsys, tmp_path, key):
+        value = RUN_KEY_VALUES[key]
+        path = tmp_path / "s.scenario"
+        path.write_text(f"generator = ring:4\n{key} = {value}\n")
+        code_file, out_file, _ = run_cli(capsys, "run", "--config", str(path))
+        code_flag, out_flag, _ = run_cli(capsys, "run", "--generator", "ring:4", flag(key), value)
+        assert code_file == code_flag == 0
+        assert out_file == out_flag
+        assert f" {key}={value}" in out_flag.splitlines()[0]
+
+    @pytest.mark.parametrize("source", ["synthetic", "exact"])
+    @pytest.mark.parametrize("key, value", BAD_RUN_VALUES)
+    def test_bad_flag_value_exits_2_naming_flag(self, capsys, source, key, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--generator", "ring:6", "--source", source, flag(key), value])
+        assert exc.value.code == 2
+        assert f"argument {flag(key)}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["synthetic", "exact"])
+    @pytest.mark.parametrize("key, value", BAD_RUN_VALUES)
+    def test_bad_file_value_exits_2_naming_line_and_key(
+        self, capsys, tmp_path, source, key, value
+    ):
+        path = tmp_path / "s.scenario"
+        path.write_text(f"generator = ring:6\nsource = {source}\n{key} = {value}\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert f"s.scenario:3: bad value for {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig5a", "--config", "x"],
+        ["fig5b", "--config", "x"],
+        ["audit", "--config", "x"],
+        ["audit", "--out", "x"],
+    ],
+)
+def test_unread_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 class TestFig5a:
     def test_default_rows_contain_reference_points(self, capsys):
         code, out, _ = run_cli(capsys, "fig5a")
@@ -474,6 +583,26 @@ class TestConfigFile:
     def test_validate_requires_source_of_instance(self):
         with pytest.raises(ValueError, match="instance"):
             ScenarioConfig().validate()
+
+    def test_empty_angle_list_reports_line(self, tmp_path):
+        path = tmp_path / "s.scenario"
+        path.write_text("generator = ring:6\nsource = synthetic\ngammas =\n")
+        with pytest.raises(ValueError, match=r"s\.scenario:3: bad value for 'gammas'"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("gammas = 0.1, 0.2\nbetas = 0.3\n", "same length"),
+            ("timings = paper-v9\n", "unknown timings preset"),
+        ],
+    )
+    def test_cross_key_rule_via_cli_exits_2(self, capsys, tmp_path, lines, message):
+        path = tmp_path / "s.scenario"
+        path.write_text("generator = ring:6\nsource = synthetic\n" + lines)
+        code, _, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert message in err
 
     def test_relative_instance_path_resolves_against_config(self, tmp_path):
         inst = tmp_path / "tiny.instance"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from cryoqaoa.ising import (
     CHUNK_CELLS,
+    GENERATOR_BYTES_PER_TERM,
     IsingInstance,
     complete_instance,
     cost,
@@ -146,6 +148,17 @@ class TestGenerators:
             make_instance("torus:4")
         with pytest.raises(ValueError, match="size"):
             make_instance("ring")
+
+    def test_generator_build_peak_within_guard_estimate(self):
+        # the guard of make_instance prices a pair term at this many bytes
+        tracemalloc.start()
+        try:
+            make_instance("path:200000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"peak bytes per pair: {peak / 199999:.1f}")
+        assert peak / 199999 <= GENERATOR_BYTES_PER_TERM
 
 
 class TestValidation:

@@ -41,10 +41,6 @@ class TestParams:
         with pytest.raises(ValueError, match="at least one layer"):
             QaoaParams((), ())
 
-    def test_bitwidth_validated(self):
-        with pytest.raises(ValueError, match="param_bitwidth"):
-            QaoaParams((0.1,), (0.2,), param_bitwidth=0)
-
 
 class TestPrepareState:
     def test_zero_angles_give_uniform_state(self):
