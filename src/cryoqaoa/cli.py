@@ -25,18 +25,8 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import bandwidth, counters, power, qaoa
-from .config import _PARSERS, ScenarioConfig, load_scenario, resolved_items
-from .ising import (
-    IsingInstance,
-    hit_energy,
-    load_instance,
-    make_instance,
-    pack_trials,
-    packed_hits,
-    physical_memory,
-    term_counts,
-    term_indices,
-)
+from .config import _PARSERS, ScenarioConfig, _int_at_least, load_scenario, resolved_items
+from .ising import IsingInstance, chunked_energy, load_instance, make_instance
 from .timing import ExecutionProfile
 
 
@@ -84,10 +74,8 @@ def _resolve_instance(config: ScenarioConfig) -> IsingInstance:
 def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> Iterator[np.ndarray]:
     """Row chunks of the run's (T, N) uint8 trial matrix, drawn lazily.
 
-    The run holds one chunk of ``ising.row_chunks`` at a time.  The one
-    allocation that grows with T is the optimizer's (T // 10, N) sample per
-    evaluation, so an exact source with ``optimize_steps > 0`` is refused
-    before it starts when that sample exceeds physical memory.
+    The run holds one chunk of ``ising.row_chunks`` at a time, and so does
+    each evaluation of the optimizer, so nothing grows with T.
     """
     n = instance.n_qubits
     source = config.source
@@ -97,17 +85,10 @@ def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> Iterator[n
         return qaoa.synthetic_chunks((config.marginal,) * n, config.trials, config.seed)
     params = qaoa.QaoaParams(config.gammas, config.betas)
     if config.optimize_steps > 0:
-        per_step = max(1, config.trials // 10)
-        memory = physical_memory()
-        if per_step * n > memory:
-            raise ValueError(
-                f"the optimizer's T/10={per_step} x N={n} sample needs {per_step * n} bytes, "
-                f"more than physical memory ({memory} bytes)"
-            )
         params, _ = qaoa.optimize(
             instance,
             params,
-            trials_per_step=per_step,
+            trials_per_step=max(1, config.trials // 10),
             steps=config.optimize_steps,
             seed=config.seed,
             max_qubits=config.statevector_limit,
@@ -142,27 +123,24 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{k}={_fmt(v)}" for k, v in resolved_items(config)
     )
     chunks = _build_trials(config, instance)
-    singles, pairs = term_indices(instance)
-    counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
     ledger = counters.Ledger(instance, width_b)
     names = [_entry_id_str(e) for e in ledger.entry_order]
     tails = [f",{name},msb{msb}\n" for name in names for msb in (0, 1)]
     with _replace_on_success(args.trace) as trace:
         if trace is not None:
             trace.write(f"{config_comment}\ntrial,bits_sent,entry_id,event\n")
-        for z in chunks:
-            first = ledger.trial_count
-            q = pack_trials(z)
-            counts += term_counts(q, singles, pairs)
-            flushes = ledger.feed(packed_hits(q, singles, pairs), len(z))
+
+        def feed(q: np.ndarray, rows: int) -> None:
+            flushes = ledger.feed(q, rows)
             if trace is not None:
-                trace.write(_flush_rows(flushes, first, tails))
+                trace.write(_flush_rows(flushes, ledger.trial_count - rows, tails))
+
+        baseline_energy = chunked_energy(instance, chunks, feed)
         t = ledger.trial_count
         if trace is not None:
             trace.writelines(f"{t},{width_b},{name},readout\n" for name in names)
 
-    baseline_energy = hit_energy(instance, counts, t)
-    counter_energy = counters.counter_energy_estimate(instance, ledger.collect().totals, t)
+    counter_energy = counters.counter_energy_estimate(instance, ledger.collect(), t)
     energies_equal = baseline_energy == counter_energy
     report = bandwidth.bandwidth_report(
         timings,
@@ -282,12 +260,9 @@ def cmd_fig5a(args: argparse.Namespace) -> int:
 
 def cmd_fig5b(args: argparse.Namespace) -> int:
     if args.n_max < args.n_min:
-        raise ValueError(f"n_max {args.n_max} below n_min {args.n_min}")
-    b_policy: int | str = args.b_policy
-    if b_policy != "log2":
-        b_policy = int(b_policy)
+        raise ValueError(f"--n-max {args.n_max} below --n-min {args.n_min}")
     comparison = power.system_comparison(
-        range(args.n_min, args.n_max + 1), b_policy=b_policy
+        range(args.n_min, args.n_max + 1), b_policy=args.b_policy
     )
     comment = (
         f"# config: n_min={args.n_min} n_max={args.n_max} b_policy={args.b_policy} "
@@ -324,6 +299,8 @@ def cmd_fig5b(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    if args.b_max < args.b_min:
+        raise ValueError(f"--b-max {args.b_max} below --b-min {args.b_min}")
     result = audit_mod.run_audit(
         cases=args.cases,
         n_max=args.n_max,
@@ -358,9 +335,8 @@ _RUN_KEYS = (
 )
 
 
-def _key_type(key: str):
-    """The key's config parser as an argparse ``type`` that keeps its message."""
-    parse = _PARSERS[key]
+def _arg_type(parse):
+    """A config parser as an argparse ``type`` that keeps its message."""
 
     def convert(text: str) -> Any:
         try:
@@ -372,6 +348,9 @@ def _key_type(key: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def at_least(low: int, word: str | None = None):
+        return _arg_type(_int_at_least(low, word))
+
     quiet = argparse.ArgumentParser(add_help=False)
     quiet.add_argument("--quiet", action="store_true", help="suppress progress chatter")
     output = argparse.ArgumentParser(add_help=False, parents=[quiet])
@@ -390,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--instance", help="instance file path")
     p_run.add_argument("--generator", help="instance generator, e.g. ring:8")
     for key in _RUN_KEYS:
-        p_run.add_argument("--" + key.replace("_", "-"), dest=key, type=_key_type(key))
+        p_run.add_argument("--" + key.replace("_", "-"), dest=key, type=_arg_type(_PARSERS[key]))
     p_run.add_argument("--trace", help="write per-event transfer CSV to this path")
     p_run.set_defaults(func=cmd_run)
 
@@ -398,21 +377,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_a = sub.add_parser("fig5a", parents=[output, seeded], help="bandwidth staircase sweep CSV")
     p_a.add_argument("--t-list", default="1e3,1e4,1e5,1e6,1e7")
     p_a.add_argument("--r-grid", default="0.001,0.002,0.005,0.01,0.02,0.05,0.1,0.2,0.5")
-    p_a.add_argument("--n-qubits", dest="n_qubits", type=int, default=750)
+    p_a.add_argument("--n-qubits", dest="n_qubits", type=at_least(1), default=750)
     p_a.set_defaults(func=cmd_fig5a)
 
     p_b = sub.add_parser("fig5b", parents=[output, seeded], help="power comparison sweep CSV")
-    p_b.add_argument("--n-min", dest="n_min", type=int, default=2)
-    p_b.add_argument("--n-max", dest="n_max", type=int, default=4096)
-    p_b.add_argument("--b-policy", dest="b_policy", default="log2")
+    p_b.add_argument("--n-min", dest="n_min", type=at_least(2), default=2)
+    p_b.add_argument("--n-max", dest="n_max", type=at_least(2), default=4096)
+    p_b.add_argument("--b-policy", dest="b_policy", type=at_least(2, "log2"), default="log2")
     p_b.set_defaults(func=cmd_fig5b)
 
     p_audit = sub.add_parser("audit", parents=[quiet, seeded], help="invariant suite")
-    p_audit.add_argument("--cases", type=int, default=200)
-    p_audit.add_argument("--n-max", dest="n_max", type=int, default=8)
-    p_audit.add_argument("--t-max", dest="t_max", type=int, default=200)
-    p_audit.add_argument("--b-min", dest="b_min", type=int, default=2)
-    p_audit.add_argument("--b-max", dest="b_max", type=int, default=8)
+    p_audit.add_argument("--cases", type=at_least(0), default=200)
+    p_audit.add_argument("--n-max", dest="n_max", type=at_least(1), default=8)
+    p_audit.add_argument("--t-max", dest="t_max", type=at_least(1), default=200)
+    p_audit.add_argument("--b-min", dest="b_min", type=at_least(2), default=2)
+    p_audit.add_argument("--b-max", dest="b_max", type=at_least(2), default=8)
     p_audit.add_argument("--exhaustive", action="store_true")
     p_audit.add_argument("--inject", choices=["drop-msb"])
     p_audit.add_argument("--counterexample", help="violation dump path")

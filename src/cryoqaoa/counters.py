@@ -21,13 +21,13 @@ live in ``bandwidth``.
 
 Two implementations share these rules.  ``CounterBank`` steps the entries
 trial by trial; it is the reference model and the audit oracle, and holds
-the fault hooks.  ``Ledger``, the production path, derives the same
-transfers in closed form from each entry's running tally and never builds
-a bank.  It is fed the ``packed_hits`` of one chunk of trials at a time,
-one row of bytes per entry with 8 trials per byte (trial 8j + k in bit k
-of byte j), and keeps only per-entry state, so ``run`` streams its trials
-through it in bounded memory; ``run_proposed`` feeds it a whole trial
-array.
+the fault hooks and the pulse-stream readout.  ``Ledger``, the production
+path, derives the same transfers and residuals in closed form from each
+entry's running tally and never builds a bank.  It is fed the
+``pack_trials`` rows of one chunk of trials at a time (trial 8j + k in bit
+k of byte j), and keeps only per-entry state, so ``run`` streams its
+trials through it in bounded memory; ``run_proposed`` feeds it a whole
+trial array in the trial sources' row chunks.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ from .ising import (
     hit_energy,
     pack_trials,
     packed_hits,
-    row_chunks,
     sampled_energy,
     term_indices,
-    trial_array,
+    trial_chunks,
 )
 
 EntryId = int | tuple[int, int]
@@ -72,7 +71,6 @@ class CounterEntry:
 class ReadoutEvent:
     """Residual readout of one entry: 2^b - v pulses recover v."""
 
-    entry_id: EntryId | None
     pulse_count: int
     recovered_value: int
 
@@ -196,7 +194,7 @@ class CounterBank:
         return bits
 
 
-def readout_entry(entry: CounterEntry, entry_id: EntryId | None = None) -> ReadoutEvent:
+def readout_entry(entry: CounterEntry) -> ReadoutEvent:
     """Drain one entry through the read-out line.
 
     Clocking the entry from value v until it overflows emits 2^b - v
@@ -206,11 +204,7 @@ def readout_entry(entry: CounterEntry, entry_id: EntryId | None = None) -> Reado
     size = 1 << entry.width_b
     pulse_count = size - entry.value
     entry.value = 0
-    return ReadoutEvent(
-        entry_id=entry_id,
-        pulse_count=pulse_count,
-        recovered_value=size - pulse_count,
-    )
+    return ReadoutEvent(pulse_count=pulse_count, recovered_value=size - pulse_count)
 
 
 @dataclass(frozen=True)
@@ -228,7 +222,7 @@ def collect_non_msbs(bank: CounterBank, accumulator: RoomTempAccumulator) -> Col
     totals: dict[EntryId, int] = {}
     events = []
     for e in bank.entry_order:
-        event = readout_entry(bank.entries[e], e)
+        event = readout_entry(bank.entries[e])
         events.append(event)
         totals[e] = accumulator.upper_counts.get(e, 0) * half + event.recovered_value
     return CollectionResult(totals=totals, events=tuple(events))
@@ -281,10 +275,7 @@ class ProposedRun:
     bits_log: tuple[int, ...]
     peak_bits_per_trial: int
     total_msb_bits: int
-    collection: CollectionResult
-    width_b: int
     m_in_use: int
-    trial_count: int
     flush_events: tuple[tuple[int, EntryId, int], ...]
 
 
@@ -318,15 +309,16 @@ class Ledger:
     difference of two such floors.  The residual is the cold register's
     modular value (C(T) - units*W) mod 2^b, so an entry that overflowed
     between flushes breaks the energy identity instead of being repaired.
-    Within a chunk, C comes from a cumulative popcount per hit byte, read
-    only at flush trials.  Tallies and units are carried across chunks, so
-    memory does not grow with the trial count.
+    Within a chunk, C comes from a cumulative popcount of the entry's
+    ``packed_hits`` bytes, read only at flush trials.  Tallies and units are
+    carried across chunks, so memory does not grow with the trial count.
     """
 
     def __init__(self, instance: IsingInstance, width_b: int) -> None:
         if width_b < 2:
             raise ValueError(f"counter width must be >= 2, got {width_b}")
         self.entry_order: list[EntryId] = [*instance.terms[0], *instance.terms[1]]
+        self._singles, self._pairs = term_indices(instance)
         self.width_b = width_b
         self.window = 1 << (width_b - 1)
         self.trial_count = 0
@@ -342,15 +334,16 @@ class Ledger:
     def total_msb_bits(self) -> int:
         return self.trial_count * self.m_in_use // self.window
 
-    def feed(self, packed: np.ndarray, rows: int) -> Flushes:
+    def feed(self, q: np.ndarray, rows: int) -> Flushes:
         """Advance over the next nonempty chunk of ``rows`` trials.
 
-        ``packed`` is the chunk's ``packed_hits``: one row per entry in
-        entry order, bit k of byte j set when trial 8j + k hit the entry.
-        A chunk has at most 2^31 - 1 rows.  Raises ``LedgerError`` on an
-        MSB other than 0 or 1.
+        ``q`` is the chunk's ``pack_trials`` output: one row per qubit, bit
+        k of byte j set when trial 8j + k measured the qubit as 1.  A chunk
+        has at most 2^31 - 1 rows.  Raises ``LedgerError`` on an MSB other
+        than 0 or 1.
         """
         m, window = self.m_in_use, self.window
+        packed = packed_hits(q, self._singles, self._pairs)  # one row per entry
         start, stop = self.trial_count, self.trial_count + rows
         # cum[e, j]: hits of entry e in the chunk's first 8j trials
         cum = np.zeros((m, packed.shape[1] + 1), dtype=np.int32)
@@ -384,17 +377,14 @@ class Ledger:
         self._units[entry[-m:]] = after[-m:]
         return Flushes(trial, entry, msb, bits)
 
-    def collect(self) -> CollectionResult:
-        """Read every entry's residual and reconstruct its tally."""
-        size = 1 << self.width_b
-        window = self.window
-        totals: dict[EntryId, int] = {}
-        events = []
-        for e, count, unit in zip(self.entry_order, self._tally.tolist(), self._units.tolist()):
-            event = readout_entry(CounterEntry(self.width_b, (count - unit * window) % size), e)
-            events.append(event)
-            totals[e] = unit * window + event.recovered_value
-        return CollectionResult(totals=totals, events=tuple(events))
+    def collect(self) -> dict[EntryId, int]:
+        """Every entry's tally: units * W plus the residual (C - units*W) mod
+        2^b that ``readout_entry`` recovers.  units*W never exceeds C, an
+        int64, so a window beyond int64 has 0 units."""
+        top = np.iinfo(np.int64).max
+        upper = self._units * min(self.window, top)
+        residual = (self._tally - upper) & min((1 << self.width_b) - 1, top)
+        return dict(zip(self.entry_order, (upper + residual).tolist()))
 
 
 def run_proposed(
@@ -402,31 +392,25 @@ def run_proposed(
     trials: Trials,
     width_b: int,
 ) -> ProposedRun:
-    """Counter-bank transfers over all trials, fed to a ``Ledger`` in row
-    chunks, then collect and estimate."""
+    """Counter-bank transfers over all trials, fed to a ``Ledger`` in the
+    ``trial_chunks`` of the trial sources, then collect and estimate."""
     ledger = Ledger(instance, width_b)
     entry_order = ledger.entry_order
-    z = trial_array(trials, instance.n_qubits)
-    singles, pairs = term_indices(instance)
     bits_log: list[int] = []
     events: list[tuple[int, EntryId, int]] = []
-    for start, stop in row_chunks(len(z), max(instance.n_qubits, ledger.m_in_use)):
-        q = pack_trials(z[start:stop])
-        flushes = ledger.feed(packed_hits(q, singles, pairs), stop - start)
+    for z in trial_chunks(trials, instance.n_qubits):
+        flushes = ledger.feed(pack_trials(z), len(z))
         bits_log += flushes.bits.tolist()
         entries = [entry_order[e] for e in flushes.entry.tolist()]
         events.extend(zip(flushes.trial.tolist(), entries, flushes.msb.tolist()))
-    collection = ledger.collect()
+    totals = ledger.collect()
     t = ledger.trial_count
     return ProposedRun(
-        energy=counter_energy_estimate(instance, collection.totals, t) if t > 0 else None,
-        totals=collection.totals,
+        energy=counter_energy_estimate(instance, totals, t) if t > 0 else None,
+        totals=totals,
         bits_log=tuple(bits_log),
         peak_bits_per_trial=ledger.peak_bits_per_trial,
         total_msb_bits=ledger.total_msb_bits,
-        collection=collection,
-        width_b=width_b,
         m_in_use=ledger.m_in_use,
-        trial_count=t,
         flush_events=tuple(events),
     )

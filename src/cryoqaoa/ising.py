@@ -11,14 +11,14 @@ through cost sums unchanged, so averaged energies can be compared exactly
 against counter-based reconstructions.  Max-cut graphs map each edge to
 ``c_ij = -1`` so that minimizing the cost maximizes the cut.
 
-Trial arrays are counted in row chunks, bit-packed along the trial axis:
+Trials are counted in ``row_chunks``, bit-packed along the trial axis:
 ``pack_trials`` gives one row of bytes per qubit, trial 8j + k in bit k of
 byte j.  Two counts read the packed rows without sharing a hit rule.
 ``term_counts`` uses popcounts alone: a pair (i, j) is hit
 n_i + n_j - 2 * n_ij times, from the ones of each qubit and of their AND;
-it gives ``sampled_energy`` and the baseline energy of ``run``.
-``packed_hits`` derives each term's hit row (a pair's is the XOR of its two
-qubit rows), which feeds the counter ledger.
+``chunked_energy`` sums it into the sampled energy.  ``packed_hits``
+derives each term's hit row (a pair's is the XOR of its two qubit rows)
+for the counter ledger.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -155,6 +155,12 @@ def row_chunks(t: int, width: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + step, t)
 
 
+def trial_chunks(trials: Trials, n_qubits: int) -> Iterator[np.ndarray]:
+    """``trial_array`` rows in the ``row_chunks`` that the trial sources yield."""
+    z = trial_array(trials, n_qubits)
+    return (z[start:stop] for start, stop in row_chunks(*z.shape))
+
+
 def term_indices(instance: IsingInstance) -> tuple[np.ndarray, np.ndarray]:
     """Qubit indices of ``instance.terms``, for ``packed_hits`` and ``term_counts``.
 
@@ -216,20 +222,34 @@ def hit_energy(instance: IsingInstance, counts: np.ndarray, t: int) -> Coeff:
     return total / t
 
 
-def sampled_energy(instance: IsingInstance, trials: Trials) -> Coeff:
-    """Average cost over a nonempty set of trials (a 2-D bit array or rows).
+def chunked_energy(
+    instance: IsingInstance,
+    chunks: Iterable[np.ndarray],
+    each_packed: Callable[[np.ndarray, int], None] | None = None,
+) -> Coeff:
+    """Average cost over a nonempty pass of (rows, N) uint8 trial chunks.
 
-    Packs the trials in row chunks, counts the hits of every term with
-    ``term_counts``, then weighs them with ``hit_energy``.
+    Packs each chunk once, counts the hits of every term with
+    ``term_counts`` and weighs them with ``hit_energy``.  ``each_packed``,
+    if given, gets every packed chunk too, so one pass can feed a ledger.
     """
-    if len(trials) == 0:
-        raise ValueError("trials must be nonempty")
-    z = trial_array(trials, instance.n_qubits)
     singles, pairs = term_indices(instance)
     counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
-    for start, stop in row_chunks(len(z), max(instance.n_qubits, len(counts))):
-        counts += term_counts(pack_trials(z[start:stop]), singles, pairs)
-    return hit_energy(instance, counts, len(z))
+    t = 0
+    for z in chunks:
+        q = pack_trials(z)
+        counts += term_counts(q, singles, pairs)
+        t += len(z)
+        if each_packed is not None:
+            each_packed(q, len(z))
+    if t == 0:
+        raise ValueError("trials must be nonempty")
+    return hit_energy(instance, counts, t)
+
+
+def sampled_energy(instance: IsingInstance, trials: Trials) -> Coeff:
+    """``chunked_energy`` of a nonempty 2-D bit array or sequence of rows."""
+    return chunked_energy(instance, trial_chunks(trials, instance.n_qubits))
 
 
 def maxcut_instance(edges: Iterable[tuple[int, int]], n: int) -> IsingInstance:

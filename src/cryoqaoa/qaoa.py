@@ -23,9 +23,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ising import IsingInstance, row_chunks, sampled_energy
+from .ising import IsingInstance, chunked_energy, physical_memory, row_chunks
 
 DEFAULT_MAX_QUBITS = 16
+
+# Peak bytes per amplitude while ``prepare_state`` or ``optimize`` runs, by
+# tracemalloc (numpy 2.4, 64-bit): 40 B in the limit (state and scratch at
+# 16 B each, the basis-state costs at 8 B), plus a fixed ~256 kB that makes
+# it 44 B on ring:16 and 57 B on ring:14.
+STATEVECTOR_BYTES_PER_AMPLITUDE = 64
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,12 @@ def _check_statevector(instance: IsingInstance, max_qubits: int) -> None:
     if n > max_qubits:
         raise ValueError(
             f"{n} qubits needs 2^{n} amplitudes; statevector limit is {max_qubits}"
+        )
+    needed, memory = STATEVECTOR_BYTES_PER_AMPLITUDE << n, physical_memory()
+    if needed > memory:
+        raise ValueError(
+            f"{n} qubits needs 2^{n} amplitudes, about {needed} bytes to simulate, "
+            f"more than physical memory ({memory} bytes)"
         )
 
 
@@ -220,10 +232,10 @@ def optimize(
 
     Evaluates the initial point, then up to ``steps`` candidates: first a
     coarse grid, then +/- coordinate moves with shrinking step size around
-    the incumbent.  Each evaluation samples ``trials_per_step`` bitstrings
-    with its own deterministic substream of ``seed``; the basis-state costs
-    are computed once for all evaluations.  The best-so-far column of the
-    returned trace is non-increasing.
+    the incumbent.  Each evaluation streams ``trials_per_step`` bitstrings
+    of its own deterministic substream of ``seed`` into ``chunked_energy``;
+    the basis-state costs are computed once for all evaluations.  The
+    best-so-far column of the returned trace is non-increasing.
     """
     if trials_per_step < 1:
         raise ValueError(f"trials_per_step must be >= 1, got {trials_per_step}")
@@ -237,9 +249,9 @@ def optimize(
     def evaluate(params: QaoaParams) -> float:
         nonlocal eval_count
         state = _evolve(costs, params)
-        trials = sample(state, trials_per_step, np.random.SeedSequence((seed, eval_count)))
+        chunks = sample_chunks(state, trials_per_step, np.random.SeedSequence((seed, eval_count)))
         eval_count += 1
-        return float(sampled_energy(instance, trials))
+        return float(chunked_energy(instance, chunks))
 
     best_params = initial
     best_energy = evaluate(initial)

@@ -1,4 +1,3 @@
-import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +10,6 @@ import cryoqaoa
 import cryoqaoa.cli as cli
 from cryoqaoa.cli import main
 from cryoqaoa.config import ScenarioConfig, load_scenario
-from cryoqaoa.ising import make_instance
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -125,37 +123,6 @@ class TestRun:
         assert code == 2
         assert "bad.instance:3" in err
 
-    def test_trial_matrix_beyond_memory_exits_2(self, capsys):
-        # the optimizer holds T // 10 trials of each evaluation at once
-        code, _, err = run_cli(
-            capsys,
-            "run",
-            "--generator",
-            "ring:8",
-            "--source",
-            "exact",
-            "--trials",
-            "100000000000000",
-            "--optimize-steps",
-            "1",
-        )
-        assert code == 2
-        assert "T/10=10000000000000" in err and "N=8" in err
-
-    def test_memory_guard_covers_only_the_optimizer_sample(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "physical_memory", lambda: 1000)
-        # 1000 x 40 trial bytes requested, streamed in chunks: not refused
-        config = ScenarioConfig(generator="path:40", source="synthetic", trials=1000)
-        assert inspect.isgenerator(cli._build_trials(config, make_instance("path:40")))
-        synthetic = ("run", "--generator", "path:40", "--source", "synthetic", "--trials", "1000")
-        assert run_cli(capsys, *synthetic)[0] == 0
-        exact = ("run", "--generator", "ring:8", "--source", "exact", "--trials", "2000")
-        assert run_cli(capsys, *exact)[0] == 0
-        # with the optimizer, 200 x 8 bytes in one sample: refused
-        code, _, err = run_cli(capsys, *exact, "--optimize-steps", "2")
-        assert code == 2
-        assert "T/10=200 x N=8" in err and "(1000 bytes)" in err
-
     @pytest.mark.parametrize(
         "spec, terms",
         [
@@ -169,6 +136,12 @@ class TestRun:
         assert code == 2
         assert f"has {terms} pair terms" in err
 
+    def test_statevector_beyond_memory_exits_2(self, capsys):
+        argv = ("run", "--generator", "ring:40", "--source", "exact", "--statevector-limit", "40")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "40 qubits needs 2^40 amplitudes" in err and "physical memory" in err
+
     def test_float_tally_error_exits_1(self, capsys, monkeypatch, tmp_path):
         import cryoqaoa.counters as counters
 
@@ -178,9 +151,9 @@ class TestRun:
         real = counters.Ledger.collect
 
         def bumped(self):
-            collection = real(self)
-            collection.totals[2] += 1
-            return collection
+            totals = real(self)
+            totals[2] += 1
+            return totals
 
         monkeypatch.setattr(counters.Ledger, "collect", bumped)
         code, out, err = run_cli(
@@ -224,12 +197,12 @@ class TestRun:
     def test_and_for_xor_pair_rule_exits_1(self, capsys, monkeypatch):
         # the ledger's pairs hit where both qubits are set; the baseline counts
         # pairs without the ledger's rule, so the energies differ
-        import cryoqaoa.cli as cli
+        import cryoqaoa.counters as counters
 
         def and_hits(q, singles, pairs):
             return np.concatenate((q[singles], q[pairs[:, 0]] & q[pairs[:, 1]]))
 
-        monkeypatch.setattr(cli, "packed_hits", and_hits)
+        monkeypatch.setattr(counters, "packed_hits", and_hits)
         code, out, err = run_cli(
             capsys, "run", "--generator", "ring:8", "--trials", "1000", "--seed", "7"
         )
@@ -426,6 +399,33 @@ def test_unread_option_is_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fig5a", "--n-qubits", "-5"], "--n-qubits"),
+        (["fig5a", "--n-qubits", "0"], "--n-qubits"),
+        (["fig5b", "--n-min", "1"], "--n-min"),
+        (["fig5b", "--n-max", "0"], "--n-max"),
+        (["fig5b", "--n-min", "10", "--n-max", "5"], "--n-max"),
+        (["fig5b", "--b-policy", "1"], "--b-policy"),
+        (["fig5b", "--b-policy", "log3"], "--b-policy"),
+        (["audit", "--cases", "-5"], "--cases"),
+        (["audit", "--n-max", "0"], "--n-max"),
+        (["audit", "--t-max", "0"], "--t-max"),
+        (["audit", "--b-min", "1"], "--b-min"),
+        (["audit", "--b-max", "1"], "--b-max"),
+        (["audit", "--b-min", "5", "--b-max", "4"], "--b-max"),
+    ],
+)
+def test_bad_option_exits_2_naming_flag(capsys, argv, flag):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert flag in capsys.readouterr().err
 
 
 class TestFig5a:

@@ -1,12 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from cryoqaoa.ising import CHUNK_CELLS, IsingInstance, cost, maxcut_instance
+import cryoqaoa.qaoa as qaoa
+from cryoqaoa.ising import (
+    CHUNK_CELLS,
+    IsingInstance,
+    cost,
+    maxcut_instance,
+    ring_instance,
+    sampled_energy,
+)
 from cryoqaoa.qaoa import (
+    STATEVECTOR_BYTES_PER_AMPLITUDE,
     QaoaParams,
     optimize,
     prepare_state,
@@ -63,6 +73,32 @@ class TestPrepareState:
         inst = IsingInstance(5)
         with pytest.raises(ValueError, match="limit"):
             prepare_state(inst, QaoaParams((0.1,), (0.2,)), max_qubits=4)
+
+    def test_state_beyond_memory_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(qaoa, "physical_memory", lambda: STATEVECTOR_BYTES_PER_AMPLITUDE * 511)
+        params = QaoaParams((0.1,), (0.2,))
+        prepare_state(IsingInstance(8), params)  # 256 amplitudes fit
+        for call in (
+            lambda: prepare_state(IsingInstance(9), params),
+            lambda: optimize(IsingInstance(9), params, 10, 1, seed=0),
+        ):
+            with pytest.raises(ValueError, match=r"9 qubits needs 2\^9 amplitudes, about 32768"):
+                call()
+
+    @pytest.mark.parametrize("stage", ["prepare_state", "optimize"])
+    def test_peak_within_statevector_guard_estimate(self, stage):
+        inst = ring_instance(16)
+        params = QaoaParams((0.5,), (0.25,))
+        tracemalloc.start()
+        try:
+            if stage == "prepare_state":
+                prepare_state(inst, params)
+            else:
+                optimize(inst, params, trials_per_step=100, steps=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= STATEVECTOR_BYTES_PER_AMPLITUDE << 16
 
     def test_norm_preserved_on_random_circuits(self):
         rng = np.random.default_rng(0)
@@ -223,6 +259,24 @@ class TestOptimize:
         # landscape, where every sample lands on a cut string
         _, trace = optimize(EDGE, QaoaParams((0.0,), (0.0,)), 100, 70, seed=3)
         assert trace[-1].best_energy == -1.0
+
+    def test_energy_is_sampled_energy_of_the_same_draw(self):
+        # 100000 ring:8 trials span four row chunks of the stream
+        inst, initial = ring_instance(8), QaoaParams((0.4,), (0.3,))
+        _, trace = optimize(inst, initial, trials_per_step=100_000, steps=0, seed=5)
+        trials = sample(prepare_state(inst, initial), 100_000, np.random.SeedSequence((5, 0)))
+        assert trace[0].energy == float(sampled_energy(inst, trials))
+
+    def test_streams_its_samples(self):
+        # one evaluation's (T, N) sample would take 8 MB
+        inst = ring_instance(8)
+        tracemalloc.start()
+        try:
+            optimize(inst, QaoaParams((0.4,), (0.3,)), trials_per_step=1_000_000, steps=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_grid_oracle_confirms_attainable_optimum(self):
         # exhaustive scan: expected cost min over the same grid is -1
