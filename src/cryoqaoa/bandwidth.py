@@ -9,6 +9,7 @@ durations are nanoseconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -94,8 +95,8 @@ def choose_b(t: int, r: float) -> ChosenB:
     """
     if t < 1:
         raise ValueError(f"trial count must be >= 1, got {t}")
-    if r <= 0:
-        raise ValueError(f"overhead fraction must be positive, got {r}")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"overhead fraction must be finite and positive, got {r}")
     if not _fits_budget(1, t, r):
         return ChosenB(1, False)
     b = 1

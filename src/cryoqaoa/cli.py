@@ -25,7 +25,16 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import bandwidth, counters, power, qaoa
-from .config import _PARSERS, ScenarioConfig, _int_at_least, load_scenario, resolved_items
+from .config import (
+    _PARSERS,
+    ScenarioConfig,
+    _count,
+    _int_at_least,
+    _list_of,
+    _positive_float,
+    load_scenario,
+    resolved_items,
+)
 from .ising import IsingInstance, chunked_energy, load_instance, make_instance
 from .timing import ExecutionProfile
 
@@ -226,16 +235,17 @@ def _flush_rows(flushes: counters.Flushes, first: int, tails: Sequence[str]) -> 
     return "".join([heads[i] + tails[k] for i, k in rows])
 
 
-def _parse_grid(text: str, kind) -> list:
-    items = [part for part in text.replace(",", " ").split() if part]
-    return [kind(part) for part in items]
+def _parse_grid(text: str, parse, flag: str) -> tuple:
+    try:
+        return _list_of(parse)(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def cmd_fig5a(args: argparse.Namespace) -> int:
-    t_values = _parse_grid(args.t_list, lambda s: int(float(s)))
-    r_grid = _parse_grid(args.r_grid, float)
-    if not t_values or not r_grid:
-        raise ValueError("empty sweep grid")
+    # parsed here, not by argparse, so the comment line keeps the text as given
+    t_values = _parse_grid(args.t_list, _count, "--t-list")
+    r_grid = _parse_grid(args.r_grid, _positive_float, "--r-grid")
     rows = bandwidth.staircase_sweep(t_values, r_grid, n=args.n_qubits)
     comment = (
         f"# config: n_qubits={args.n_qubits} timings=paper-v1 "
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False, parents=[quiet])
     output.add_argument("--out", help="write primary output to this path")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, help="override the RNG seed")
+    seeded.add_argument("--seed", type=at_least(0), help="override the RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="cryoqaoa",

@@ -45,11 +45,24 @@ def _source(text: str) -> str:
     return text
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    values = tuple(float(part) for part in text.replace(",", " ").split())
-    if not values:
-        raise ValueError("needs at least one value")
-    return values
+def _count(text: str) -> int:
+    """An integer >= 1, also in float notation such as ``1e3``."""
+    number = float(text)
+    if not (number.is_integer() and number >= 1):
+        raise ValueError(f"must be an integer >= 1, got {text}")
+    return int(number)
+
+
+def _list_of(parse: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """Parser of a nonempty comma- or space-separated list of ``parse`` values."""
+
+    def parse_list(text: str) -> tuple:
+        values = tuple(parse(part) for part in text.replace(",", " ").split())
+        if not values:
+            raise ValueError("needs at least one value")
+        return values
+
+    return parse_list
 
 
 @dataclass(frozen=True)
@@ -138,10 +151,10 @@ _PARSERS: dict[str, Callable[[str], Any]] = {
     "overhead_budget": _positive_float,
     "source": _source,
     "marginal": _fraction,
-    "gammas": _floats,
-    "betas": _floats,
+    "gammas": _list_of(float),
+    "betas": _list_of(float),
     "optimize_steps": _int_at_least(0),
-    "seed": int,
+    "seed": _int_at_least(0),
     "statevector_limit": int,
 }
 

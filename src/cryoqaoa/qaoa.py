@@ -6,9 +6,13 @@ column i is qubit i, so a row z has z[i] = qubit i.  ``sample_chunks`` and
 ``synthetic_chunks`` yield it in the row chunks of ``ising.row_chunks``,
 so a consumer never holds all T rows; ``sample`` and ``synthetic_trials``
 return it whole.  The phase separator applies exp(-i*gamma*cost(z)) per
-basis state with the classical cost; the mixer applies exp(-i*beta*X) on
-every qubit.  Sampling uses inverse-CDF draws on the raw PCG64 uniform
-stream, which numpy keeps stream-stable across platforms.
+basis state with the classical cost: it exponentiates the distinct costs
+(``phase_levels``) and gathers the result per amplitude.  The mixer applies
+exp(-i*beta*X) on every qubit, as one matrix product per block of up to
+``MIXER_BLOCK_QUBITS`` qubits.  Sampling uses inverse-CDF draws on the raw
+PCG64 uniform stream, which numpy keeps stream-stable across platforms;
+each chunk's uniforms are searched in sorted order, which draws the same
+indices.
 
 Also provides a Bernoulli bitstring source for communication studies at
 qubit counts far beyond statevector reach, and a derivative-free parameter
@@ -17,6 +21,7 @@ search (coarse grid, then coordinate refinement).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -28,10 +33,17 @@ from .ising import IsingInstance, chunked_energy, physical_memory, row_chunks
 DEFAULT_MAX_QUBITS = 16
 
 # Peak bytes per amplitude while ``prepare_state`` or ``optimize`` runs, by
-# tracemalloc (numpy 2.4, 64-bit): 40 B in the limit (state and scratch at
-# 16 B each, the basis-state costs at 8 B), plus a fixed ~256 kB that makes
-# it 44 B on ring:16 and 57 B on ring:14.
+# tracemalloc (numpy 2.4, 64-bit): state and scratch at 16 B each plus the
+# level index at 8 B, and per distinct cost level 8 B for the level and 16 B
+# for its phase.  That is 40 B in the limit when the levels are few, as on
+# ring:16 (40.4 B) and ring:14 (41.4 B), and 64 B when every amplitude has
+# its own level, as on an instance with random float coefficients (66.1 B
+# on 16 qubits, of which about 130 kB is a fixed numpy cast buffer).
 STATEVECTOR_BYTES_PER_AMPLITUDE = 64
+
+# Qubits per mixer block: a 16x16 matmul per block was fastest on ring:16
+# (2, 3, 4, 5 and 8 qubits measured).
+MIXER_BLOCK_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -70,23 +82,19 @@ def phase_costs(instance: IsingInstance) -> np.ndarray:
     return costs
 
 
-def _apply_mixer(state: np.ndarray, qubit: int, beta: float, n: int, scratch: np.ndarray) -> None:
-    """In-place exp(-i*beta*X) on one qubit.
+def phase_levels(instance: IsingInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct basis-state costs, ascending, and the ``intp`` index of
+    every basis state's cost among them: ``levels[index]`` is ``phase_costs``.
 
-    ``scratch`` is working space of 2^N amplitudes; its two halves take the
-    s * amplitude terms, so no half of the state is copied.
+    An integer instance on N qubits has O(N^2) levels, so each layer's phase
+    separator takes one complex ``exp`` per level, not per amplitude.
+    ``np.unique`` is not used: its first call imports ``numpy.ma``, about
+    1.7 MB of resident memory.
     """
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
-    view = state.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
-    a0, a1 = view[:, 0, :], view[:, 1, :]
-    s0, s1 = (half.reshape(a0.shape) for half in scratch.reshape(2, -1))
-    np.multiply(s, a0, out=s0)
-    np.multiply(s, a1, out=s1)
-    np.multiply(c, a0, out=a0)
-    np.add(a0, s1, out=a0)  # c*a0 + s*a1
-    np.multiply(c, a1, out=a1)
-    np.add(a1, s0, out=a1)  # c*a1 + s*a0
+    costs = phase_costs(instance)
+    levels = np.sort(costs)
+    levels = levels[np.append(True, levels[1:] != levels[:-1])]
+    return levels, np.searchsorted(levels, costs)
 
 
 def prepare_state(
@@ -100,7 +108,7 @@ def prepare_state(
     to within accumulated rounding (~1e-15 per operation).
     """
     _check_statevector(instance, max_qubits)
-    return _evolve(phase_costs(instance), params)
+    return _evolve(*phase_levels(instance), params)
 
 
 def _check_statevector(instance: IsingInstance, max_qubits: int) -> None:
@@ -117,15 +125,33 @@ def _check_statevector(instance: IsingInstance, max_qubits: int) -> None:
         )
 
 
-def _evolve(costs: np.ndarray, params: QaoaParams) -> np.ndarray:
-    """The circuit of ``prepare_state`` on the basis-state costs it returns."""
-    n = len(costs).bit_length() - 1
+def _evolve(levels: np.ndarray, index: np.ndarray, params: QaoaParams) -> np.ndarray:
+    """The circuit of ``prepare_state`` on the level table of ``phase_levels``.
+
+    The mixer runs on blocks of up to ``MIXER_BLOCK_QUBITS`` qubits: one
+    ``matmul`` of the block's Kronecker power of R_x(beta) over the state
+    viewed as (high, 2^k, low), written to the scratch vector, which then
+    becomes the state.  A block keeps numpy's inner loops at least 2^k
+    amplitudes wide, where one qubit at a time on qubits 1-3 runs loops of
+    2-8.
+    """
+    n = len(index).bit_length() - 1
     state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
     scratch = np.empty_like(state)
+    phases = np.empty(len(levels), dtype=complex)
+    lows = range(0, n, MIXER_BLOCK_QUBITS)
+    blocks = [(low, min(MIXER_BLOCK_QUBITS, n - low)) for low in lows]
     for gamma, beta in zip(params.gammas, params.betas):
-        state *= np.exp(np.multiply(-1j * gamma, costs, out=scratch), out=scratch)
-        for q in range(n):
-            _apply_mixer(state, q, beta, n, scratch)
+        np.exp(np.multiply(-1j * gamma, levels, out=phases), out=phases)
+        # mode="clip" writes straight into scratch; the default mode copies it
+        state *= np.take(phases, index, out=scratch, mode="clip")
+        c, s = math.cos(beta), -1j * math.sin(beta)
+        rx = np.array([[c, s], [s, c]])
+        for low, k in blocks:
+            op = functools.reduce(np.kron, [rx] * k)
+            shape = (-1, 1 << k, 1 << low)
+            np.matmul(op, state.reshape(shape), out=scratch.reshape(shape))
+            state, scratch = scratch, state
     return state
 
 
@@ -151,9 +177,23 @@ def sample_chunks(
     cum[-1] = 1.0
     rng = np.random.default_rng(seed)
     return (
-        _index_bits(np.searchsorted(cum, rng.random(stop - start), side="right"), n)
+        _index_bits(_inverse_cdf(cum, rng.random(stop - start)), n)
         for start, stop in row_chunks(t, n)
     )
+
+
+def _inverse_cdf(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, uniforms, side="right")``, found in ascending
+    order of the uniforms and scattered back to their places.
+
+    Each index depends only on its own uniform, so the result is the same;
+    ascending keys let each search start where the last one ended, which
+    halves the search time on a 2^16 table.
+    """
+    order = np.argsort(uniforms)
+    draws = np.empty(len(uniforms), dtype=np.intp)
+    draws[order] = np.searchsorted(cum, uniforms[order], side="right")
+    return draws
 
 
 def _index_bits(draws: np.ndarray, n: int) -> np.ndarray:
@@ -234,8 +274,8 @@ def optimize(
     coarse grid, then +/- coordinate moves with shrinking step size around
     the incumbent.  Each evaluation streams ``trials_per_step`` bitstrings
     of its own deterministic substream of ``seed`` into ``chunked_energy``;
-    the basis-state costs are computed once for all evaluations.  The
-    best-so-far column of the returned trace is non-increasing.
+    the level table of ``phase_levels`` is built once for all evaluations.
+    The best-so-far column of the returned trace is non-increasing.
     """
     if trials_per_step < 1:
         raise ValueError(f"trials_per_step must be >= 1, got {trials_per_step}")
@@ -243,12 +283,12 @@ def optimize(
         raise ValueError(f"steps must be >= 0, got {steps}")
 
     _check_statevector(instance, max_qubits)
-    costs = phase_costs(instance)
+    levels, index = phase_levels(instance)
     eval_count = 0
 
     def evaluate(params: QaoaParams) -> float:
         nonlocal eval_count
-        state = _evolve(costs, params)
+        state = _evolve(levels, index, params)
         chunks = sample_chunks(state, trials_per_step, np.random.SeedSequence((seed, eval_count)))
         eval_count += 1
         return float(chunked_energy(instance, chunks))

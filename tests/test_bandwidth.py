@@ -110,8 +110,9 @@ class TestChooseB:
     def test_validation(self):
         with pytest.raises(ValueError, match="trial count"):
             choose_b(0, 0.1)
-        with pytest.raises(ValueError, match="positive"):
-            choose_b(100, 0)
+        for r in (0, -1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                choose_b(100, r)
 
     @given(st.integers(1, 10**8), st.floats(1e-6, 10))
     def test_definition(self, t, r):

@@ -343,6 +343,7 @@ BAD_RUN_VALUES = [
     ("marginal", "1.5"),
     ("marginal", "nan"),
     ("optimize_steps", "-1"),
+    ("seed", "-1"),
 ]
 
 
@@ -417,6 +418,15 @@ def test_unread_option_is_usage_error(capsys, argv):
         (["audit", "--b-min", "1"], "--b-min"),
         (["audit", "--b-max", "1"], "--b-max"),
         (["audit", "--b-min", "5", "--b-max", "4"], "--b-max"),
+        (["audit", "--seed", "-1", "--cases", "1"], "--seed"),
+        (["fig5a", "--seed", "-1"], "--seed"),
+        (["fig5b", "--seed", "-1"], "--seed"),
+        (["fig5a", "--t-list", "0"], "--t-list"),
+        (["fig5a", "--t-list", "1.5"], "--t-list"),
+        (["fig5a", "--t-list", "1e3,inf"], "--t-list"),
+        (["fig5a", "--r-grid", "-1"], "--r-grid"),
+        (["fig5a", "--r-grid", "0.05 nan"], "--r-grid"),
+        (["fig5a", "--r-grid", "inf"], "--r-grid"),
     ],
 )
 def test_bad_option_exits_2_naming_flag(capsys, argv, flag):
@@ -449,7 +459,7 @@ class TestFig5a:
     def test_empty_grid_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "fig5a", "--t-list", "", "--r-grid", "0.05")
         assert code == 2
-        assert "empty" in err
+        assert "--t-list: needs at least one value" in err
 
     def test_write_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "fig5a.csv"

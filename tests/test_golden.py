@@ -1,12 +1,18 @@
 """Byte-for-byte checks of the tracked figure data and the benchmark harness."""
 
+import json
+import os
 import runpy
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 
 
 def test_make_figure_data_reproduces_tracked_out(tmp_path):
@@ -30,3 +36,25 @@ def test_bench_smoke():
     )
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
     assert "smoke ok" in result.stdout
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_worker_smoke(tmp_path, workload):
+    # The traced loop wraps the functions bench/tracer.py names, so renaming
+    # one of them fails here.  No bytecode is written under bench/.
+    out = tmp_path / f"{workload}.json"
+    result = subprocess.run(
+        [sys.executable, "bench/worker.py", "--workload", workload, "--smoke", "--trace", "1"]
+        + ["--seconds", "1", "--out", str(out)],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    record = json.loads(out.read_text())
+    assert record["golden_problems"] == []
+    assert record["ops"] and record["traced_ops"]
+    for op in record["ops"] + record["traced_ops"]:
+        assert op["ok"], op["problems"]

@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from cryoqaoa.qaoa import (
     STATEVECTOR_BYTES_PER_AMPLITUDE,
     QaoaParams,
     optimize,
+    phase_costs,
+    phase_levels,
     prepare_state,
     sample,
     sample_chunks,
@@ -118,6 +122,62 @@ class TestPrepareState:
             )
             state = prepare_state(IsingInstance(n, linear, pairs), params)
             assert abs(np.linalg.norm(state) - 1) < 1e-10
+
+
+def random_instance(n, kind, seed):
+    """Every qubit has a linear term and about half the pairs are present;
+    "float" coefficients give as many cost levels as amplitudes."""
+    rng = np.random.default_rng(seed)
+    draw = {
+        "integer": lambda: int(rng.integers(-3, 4)),
+        "fraction": lambda: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+        "float": lambda: float(rng.normal()),
+    }[kind]
+    linear = {i: draw() for i in range(n)}
+    pairs = {(i, j): draw() for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
+    return IsingInstance(n, linear, pairs)
+
+
+def dense_oracle_state(instance, params):
+    """The circuit as dense 2^N x 2^N matrices: diag(exp(-i*gamma*C)), then
+    the Kronecker product of R_x(beta) over all N qubits."""
+    n = instance.n_qubits
+    costs = [
+        float(cost(instance, tuple((k >> i) & 1 for i in range(n)))) for k in range(1 << n)
+    ]
+    state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+    for gamma, beta in zip(params.gammas, params.betas):
+        c, s = math.cos(beta), -1j * math.sin(beta)
+        mixer = functools.reduce(np.kron, [np.array([[c, s], [s, c]])] * n)
+        state = mixer @ (np.diag(np.exp(-1j * gamma * np.array(costs))) @ state)
+    return state
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("kind", ["integer", "fraction", "float"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_prepare_state_matches_dense_matrices(self, n, kind):
+        # n = 1..9 covers mixer blocks of 1, 2 and 3 qubits after whole
+        # 4-qubit blocks; the layer count cycles through 1, 2 and 3
+        instance = random_instance(n, kind, seed=n)
+        rng = np.random.default_rng(100 + n)
+        layers = 1 + n % 3
+        params = QaoaParams(
+            tuple(rng.uniform(0, 2 * math.pi, layers)), tuple(rng.uniform(0, math.pi, layers))
+        )
+        state = prepare_state(instance, params)
+        assert np.max(np.abs(state - dense_oracle_state(instance, params))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["integer", "fraction", "float"])
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_level_table_rebuilds_phase_costs(self, n, kind):
+        instance = random_instance(n, kind, seed=n)
+        levels, index = phase_levels(instance)
+        assert index.dtype == np.intp
+        assert np.all(np.diff(levels) > 0)
+        assert np.array_equal(levels[index], phase_costs(instance))
+        if kind == "float":
+            assert len(levels) == 1 << n
 
 
 def test_bit_index_round_trip():
