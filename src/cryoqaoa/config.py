@@ -25,6 +25,20 @@ def _int_at_least(low: int, word: str | None = None) -> Callable[[str], int | st
     return parse
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise ValueError(f"must be a finite number >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -137,12 +151,12 @@ _PARSERS: dict[str, Callable[[str], Any]] = {
     "instance": str,
     "generator": str,
     "timings": str,
-    "t_reset_ns": float,
-    "t_init_ns": float,
-    "t_rx_ns": float,
-    "t_rz_ns": float,
-    "t_cnot_ns": float,
-    "t_meas_ns": float,
+    "t_reset_ns": _nonnegative_float,
+    "t_init_ns": _nonnegative_float,
+    "t_rx_ns": _nonnegative_float,
+    "t_rz_ns": _nonnegative_float,
+    "t_cnot_ns": _nonnegative_float,
+    "t_meas_ns": _nonnegative_float,
     "trials": _int_at_least(1),
     "layers": _int_at_least(1),
     "parallelism": _int_at_least(1, "full"),
@@ -151,11 +165,11 @@ _PARSERS: dict[str, Callable[[str], Any]] = {
     "overhead_budget": _positive_float,
     "source": _source,
     "marginal": _fraction,
-    "gammas": _list_of(float),
-    "betas": _list_of(float),
+    "gammas": _list_of(_finite_float),
+    "betas": _list_of(_finite_float),
     "optimize_steps": _int_at_least(0),
     "seed": _int_at_least(0),
-    "statevector_limit": int,
+    "statevector_limit": _int_at_least(1),
 }
 
 

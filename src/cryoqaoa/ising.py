@@ -19,6 +19,10 @@ n_i + n_j - 2 * n_ij times, from the ones of each qubit and of their AND;
 ``chunked_energy`` sums it into the sampled energy.  ``packed_hits``
 derives each term's hit row (a pair's is the XOR of its two qubit rows)
 for the counter ledger.
+
+For the statevector simulation, ``phase_costs`` gives the cost of every
+basis state at once, and ``IsingInstance.phase_levels`` caches its
+distinct levels on the instance.
 """
 
 from __future__ import annotations
@@ -88,6 +92,25 @@ class IsingInstance:
         pairs = tuple(sorted(p for p, v in self.pairs.items() if v != 0))
         return singles, pairs
 
+    @cached_property
+    def phase_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct basis-state costs, ascending, and the ``intp`` index
+        of every basis state's cost among them: ``levels[index]`` is
+        ``phase_costs``.  Callers must not write to them.  (Marking them
+        read-only would cost a copy of the index in every ``np.take``.)
+
+        Built once per instance, so the optimizer and ``prepare_state`` of
+        one run share it.  An integer instance on N qubits has O(N^2)
+        levels, so each layer's phase separator takes one complex ``exp``
+        per level, not per amplitude.  ``np.unique`` is not used: its first
+        call imports ``numpy.ma``, about 1.7 MB of resident memory.
+        """
+        costs = phase_costs(self)
+        levels = np.sort(costs)
+        levels = levels[np.append(True, levels[1:] != levels[:-1])]
+        index = np.searchsorted(levels, costs)
+        return levels, index
+
     @property
     def s_count(self) -> int:
         """Number of nonzero linear terms (the S of the timing model)."""
@@ -124,6 +147,30 @@ def cost(instance: IsingInstance, z: BitString) -> Coeff:
         if z[i] != z[j]:
             total = total + instance.pairs[(i, j)]
     return total
+
+
+def phase_costs(instance: IsingInstance) -> np.ndarray:
+    """Classical cost of every basis state, as a 2^N float vector; entry k
+    is the cost of the bitstring whose bit i is qubit i.
+
+    Each nonzero term, in dict order, adds its 2-entry (linear) or 2x2
+    (pair) table to the costs viewed as a (2,)*N array, where qubit i is
+    axis N-1-i.
+    """
+    n = instance.n_qubits
+    costs = np.zeros(1 << n)
+    view = costs.reshape((2,) * n)
+    for i, coeff in instance.linear.items():
+        if coeff != 0:
+            shape = [1] * n
+            shape[n - 1 - i] = 2
+            view += (float(coeff) * np.array([0, 1])).reshape(shape)
+    for (i, j), coeff in instance.pairs.items():
+        if coeff != 0:
+            shape = [1] * n
+            shape[n - 1 - i] = shape[n - 1 - j] = 2
+            view += (float(coeff) * np.array([[0, 1], [1, 0]])).reshape(shape)
+    return costs
 
 
 def trial_array(trials: Trials, n_qubits: int) -> np.ndarray:

@@ -7,12 +7,13 @@ column i is qubit i, so a row z has z[i] = qubit i.  ``sample_chunks`` and
 so a consumer never holds all T rows; ``sample`` and ``synthetic_trials``
 return it whole.  The phase separator applies exp(-i*gamma*cost(z)) per
 basis state with the classical cost: it exponentiates the distinct costs
-(``phase_levels``) and gathers the result per amplitude.  The mixer applies
-exp(-i*beta*X) on every qubit, as one matrix product per block of up to
-``MIXER_BLOCK_QUBITS`` qubits.  Sampling uses inverse-CDF draws on the raw
-PCG64 uniform stream, which numpy keeps stream-stable across platforms;
-each chunk's uniforms are searched in sorted order, which draws the same
-indices.
+(``IsingInstance.phase_levels``, built once per instance) and gathers the
+result per amplitude.  The mixer applies exp(-i*beta*X) on every qubit, as
+one 2-D matrix product per block of up to ``MIXER_BLOCK_QUBITS`` qubits.
+``optimize`` evolves every evaluation in one set of 2^N buffers.  Sampling
+uses inverse-CDF draws on the raw PCG64 uniform stream, which numpy keeps
+stream-stable across platforms; each chunk's uniforms are searched in
+sorted order, which draws the same indices.
 
 Also provides a Bernoulli bitstring source for communication studies at
 qubit counts far beyond statevector reach, and a derivative-free parameter
@@ -35,14 +36,17 @@ DEFAULT_MAX_QUBITS = 16
 # Peak bytes per amplitude while ``prepare_state`` or ``optimize`` runs, by
 # tracemalloc (numpy 2.4, 64-bit): state and scratch at 16 B each plus the
 # level index at 8 B, and per distinct cost level 8 B for the level and 16 B
-# for its phase.  That is 40 B in the limit when the levels are few, as on
-# ring:16 (40.4 B) and ring:14 (41.4 B), and 64 B when every amplitude has
-# its own level, as on an instance with random float coefficients (66.1 B
+# for its phase.  The optimizer's CDF (8 B) lives in the idle half of the
+# state/scratch pair, so it adds nothing.  That is 40 B in the limit when
+# the levels are few, as on ring:16 (40.3 B to prepare, 40.6 B to optimize)
+# and ring:14 (41.1 and 42.0 B), and 64 B when every amplitude has its own
+# level, as on an instance with random float coefficients (66.0 and 66.3 B
 # on 16 qubits, of which about 130 kB is a fixed numpy cast buffer).
 STATEVECTOR_BYTES_PER_AMPLITUDE = 64
 
 # Qubits per mixer block: a 16x16 matmul per block was fastest on ring:16
-# (2, 3, 4, 5 and 8 qubits measured).
+# (2, 3, 4, 5 and 8 qubits measured; 2-5 again with one 2-D product per
+# block).
 MIXER_BLOCK_QUBITS = 4
 
 
@@ -68,35 +72,6 @@ class QaoaParams:
         return len(self.gammas)
 
 
-def phase_costs(instance: IsingInstance) -> np.ndarray:
-    """Classical cost of every basis state, as a 2^N vector."""
-    n = instance.n_qubits
-    idx = np.arange(1 << n, dtype=np.int64)
-    costs = np.zeros(1 << n)
-    for i, coeff in instance.linear.items():
-        if coeff != 0:
-            costs += float(coeff) * ((idx >> i) & 1)
-    for (i, j), coeff in instance.pairs.items():
-        if coeff != 0:
-            costs += float(coeff) * (((idx >> i) ^ (idx >> j)) & 1)
-    return costs
-
-
-def phase_levels(instance: IsingInstance) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct basis-state costs, ascending, and the ``intp`` index of
-    every basis state's cost among them: ``levels[index]`` is ``phase_costs``.
-
-    An integer instance on N qubits has O(N^2) levels, so each layer's phase
-    separator takes one complex ``exp`` per level, not per amplitude.
-    ``np.unique`` is not used: its first call imports ``numpy.ma``, about
-    1.7 MB of resident memory.
-    """
-    costs = phase_costs(instance)
-    levels = np.sort(costs)
-    levels = levels[np.append(True, levels[1:] != levels[:-1])]
-    return levels, np.searchsorted(levels, costs)
-
-
 def prepare_state(
     instance: IsingInstance,
     params: QaoaParams,
@@ -104,11 +79,13 @@ def prepare_state(
 ) -> np.ndarray:
     """Evolve |+>^N through L alternating phase/mixer layers.
 
-    Returns the 2^N complex amplitude vector; unitarity keeps the norm at 1
-    to within accumulated rounding (~1e-15 per operation).
+    Returns the 2^N complex amplitude vector, a new array the caller owns;
+    unitarity keeps the norm at 1 to within accumulated rounding (~1e-15
+    per operation).
     """
     _check_statevector(instance, max_qubits)
-    return _evolve(*phase_levels(instance), params)
+    state, scratch = (np.empty(1 << instance.n_qubits, complex) for _ in range(2))
+    return _evolve(*instance.phase_levels, params, state, scratch)
 
 
 def _check_statevector(instance: IsingInstance, max_qubits: int) -> None:
@@ -125,32 +102,45 @@ def _check_statevector(instance: IsingInstance, max_qubits: int) -> None:
         )
 
 
-def _evolve(levels: np.ndarray, index: np.ndarray, params: QaoaParams) -> np.ndarray:
-    """The circuit of ``prepare_state`` on the level table of ``phase_levels``.
+def _evolve(
+    levels: np.ndarray,
+    index: np.ndarray,
+    params: QaoaParams,
+    state: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """The circuit of ``prepare_state`` on the level table of
+    ``IsingInstance.phase_levels``, evolved in the two 2^N complex buffers
+    ``state`` and ``scratch``; returns the one that holds the result.
 
-    The mixer runs on blocks of up to ``MIXER_BLOCK_QUBITS`` qubits: one
-    ``matmul`` of the block's Kronecker power of R_x(beta) over the state
-    viewed as (high, 2^k, low), written to the scratch vector, which then
-    becomes the state.  A block keeps numpy's inner loops at least 2^k
-    amplitudes wide, where one qubit at a time on qubits 1-3 runs loops of
-    2-8.
+    Layer 1 gathers the phases, scaled by the |+>^N amplitude, straight
+    into ``state``.  The mixer runs on blocks of up to
+    ``MIXER_BLOCK_QUBITS`` qubits, with the block's Kronecker power of
+    R_x(beta) built once per layer and block size.  Each block is one 2-D
+    ``matmul``: the state viewed as (2^k, rest), transposed, times op.T,
+    written to the other buffer as (rest, 2^k).  That mixes the top k
+    qubits of the index and rotates them to the bottom, so after blocks
+    that sum to N qubits every qubit is mixed once and back in place.
+    One 16x16 product over 2^N amplitudes per block keeps BLAS busy;
+    products batched over the middle qubits took about 20 % longer.
     """
     n = len(index).bit_length() - 1
-    state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
-    scratch = np.empty_like(state)
     phases = np.empty(len(levels), dtype=complex)
-    lows = range(0, n, MIXER_BLOCK_QUBITS)
-    blocks = [(low, min(MIXER_BLOCK_QUBITS, n - low)) for low in lows]
-    for gamma, beta in zip(params.gammas, params.betas):
+    blocks = [min(MIXER_BLOCK_QUBITS, n - low) for low in range(0, n, MIXER_BLOCK_QUBITS)]
+    for layer, (gamma, beta) in enumerate(zip(params.gammas, params.betas)):
         np.exp(np.multiply(-1j * gamma, levels, out=phases), out=phases)
-        # mode="clip" writes straight into scratch; the default mode copies it
-        state *= np.take(phases, index, out=scratch, mode="clip")
+        # mode="clip" writes straight into the output; the default mode copies it
+        if layer == 0:
+            phases *= 2.0 ** (-n / 2)
+            np.take(phases, index, out=state, mode="clip")
+        else:
+            state *= np.take(phases, index, out=scratch, mode="clip")
         c, s = math.cos(beta), -1j * math.sin(beta)
         rx = np.array([[c, s], [s, c]])
-        for low, k in blocks:
-            op = functools.reduce(np.kron, [rx] * k)
-            shape = (-1, 1 << k, 1 << low)
-            np.matmul(op, state.reshape(shape), out=scratch.reshape(shape))
+        ops = {k: functools.reduce(np.kron, [rx] * k) for k in set(blocks)}
+        for k in blocks:
+            # the top k qubits, mixed, become the bottom k
+            np.matmul(state.reshape(1 << k, -1).T, ops[k].T, out=scratch.reshape(-1, 1 << k))
             state, scratch = scratch, state
     return state
 
@@ -168,13 +158,27 @@ def sample_chunks(
     if t < 1:
         raise ValueError(f"trial count must be >= 1, got {t}")
     size = len(state)
-    n = (size - 1).bit_length()
-    if 1 << n != size:
+    if 1 << (size - 1).bit_length() != size:
         raise ValueError(f"statevector length {size} is not a power of two")
-    probs = np.abs(np.asarray(state)) ** 2
-    cum = np.cumsum(probs)
-    cum /= cum[-1]
-    cum[-1] = 1.0
+    return _draw_chunks(_cdf(state, np.empty(size)), t, seed)
+
+
+def _cdf(state: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The cumulative sum of |amplitude|^2, normalized to end at exactly 1,
+    written into the float buffer ``out``."""
+    np.abs(state, out=out)
+    np.square(out, out=out)
+    np.cumsum(out, out=out)
+    out /= out[-1]
+    out[-1] = 1.0
+    return out
+
+
+def _draw_chunks(
+    cum: np.ndarray, t: int, seed: int | np.random.SeedSequence
+) -> Iterator[np.ndarray]:
+    """The row chunks of t trials drawn by inverse CDF from ``cum``."""
+    n = (len(cum) - 1).bit_length()
     rng = np.random.default_rng(seed)
     return (
         _index_bits(_inverse_cdf(cum, rng.random(stop - start)), n)
@@ -197,12 +201,15 @@ def _inverse_cdf(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def _index_bits(draws: np.ndarray, n: int) -> np.ndarray:
-    """Drawn basis indices as rows of n bits; column i is bit i."""
+    """Drawn basis indices as rows of n bits; column i is bit i.
+
+    One ``unpackbits`` of each index's little-endian bytes.
+    """
     np.minimum(draws, (1 << n) - 1, out=draws)
-    bits = np.empty((len(draws), n), dtype=np.uint8)
-    for i in range(n):
-        bits[:, i] = (draws >> i) & 1
-    return bits
+    draws = draws.astype("<i8", copy=False)
+    return np.unpackbits(
+        draws.view(np.uint8).reshape(len(draws), 8), axis=1, count=n, bitorder="little"
+    )
 
 
 def sample(state: np.ndarray, t: int, seed: int | np.random.SeedSequence) -> np.ndarray:
@@ -273,8 +280,11 @@ def optimize(
     Evaluates the initial point, then up to ``steps`` candidates: first a
     coarse grid, then +/- coordinate moves with shrinking step size around
     the incumbent.  Each evaluation streams ``trials_per_step`` bitstrings
-    of its own deterministic substream of ``seed`` into ``chunked_energy``;
-    the level table of ``phase_levels`` is built once for all evaluations.
+    of its own deterministic substream of ``seed`` into ``chunked_energy``.
+    Every evaluation evolves in the same two 2^N complex buffers,
+    allocated once per call, on the instance's one level table, and builds
+    its CDF in the buffer that does not hold the result; so the peak stays
+    that of ``prepare_state``.
     The best-so-far column of the returned trace is non-increasing.
     """
     if trials_per_step < 1:
@@ -283,13 +293,18 @@ def optimize(
         raise ValueError(f"steps must be >= 0, got {steps}")
 
     _check_statevector(instance, max_qubits)
-    levels, index = phase_levels(instance)
+    levels, index = instance.phase_levels
+    size = 1 << instance.n_qubits
+    state, scratch = (np.empty(size, complex) for _ in range(2))
     eval_count = 0
 
     def evaluate(params: QaoaParams) -> float:
         nonlocal eval_count
-        state = _evolve(levels, index, params)
-        chunks = sample_chunks(state, trials_per_step, np.random.SeedSequence((seed, eval_count)))
+        evolved = _evolve(levels, index, params, state, scratch)
+        # the CDF goes in the first half of the buffer the result is not in
+        idle = scratch if evolved is state else state
+        cum = _cdf(evolved, idle.view(float)[:size])
+        chunks = _draw_chunks(cum, trials_per_step, np.random.SeedSequence((seed, eval_count)))
         eval_count += 1
         return float(chunked_energy(instance, chunks))
 

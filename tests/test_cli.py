@@ -344,6 +344,17 @@ BAD_RUN_VALUES = [
     ("marginal", "nan"),
     ("optimize_steps", "-1"),
     ("seed", "-1"),
+    ("statevector_limit", "-3"),
+]
+
+# Scenario keys that have no `run` flag, with a value their parser refuses.
+BAD_FILE_VALUES = [
+    ("gammas", "nan"),
+    ("gammas", "0.5, inf"),
+    ("betas", "inf"),
+    ("t_rx_ns", "nan"),
+    ("t_reset_ns", "inf"),
+    ("t_meas_ns", "-1"),
 ]
 
 
@@ -384,6 +395,17 @@ class TestRunKeys:
         code, _, err = run_cli(capsys, "run", "--config", str(path))
         assert code == 2
         assert f"s.scenario:3: bad value for {key!r}" in err
+
+    @pytest.mark.parametrize("source", ["synthetic", "exact"])
+    @pytest.mark.parametrize("key, value", BAD_FILE_VALUES)
+    def test_bad_file_only_value_exits_2_naming_line_and_key(
+        self, capsys, tmp_path, source, key, value
+    ):
+        path = tmp_path / "s.scenario"
+        path.write_text(f"generator = ring:6\nsource = {source}\n{key} = {value}\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert f"s.scenario:3: bad value for {key!r}: must be a finite number" in err
 
 
 @pytest.mark.parametrize(

@@ -1,19 +1,27 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import cryoqaoa
+import cryoqaoa.ising as ising
 import cryoqaoa.qaoa as qaoa
+from cryoqaoa.cli import main
 from cryoqaoa.ising import (
     CHUNK_CELLS,
     IsingInstance,
     cost,
     maxcut_instance,
+    phase_costs,
     ring_instance,
     sampled_energy,
 )
@@ -21,8 +29,6 @@ from cryoqaoa.qaoa import (
     STATEVECTOR_BYTES_PER_AMPLITUDE,
     QaoaParams,
     optimize,
-    phase_costs,
-    phase_levels,
     prepare_state,
     sample,
     sample_chunks,
@@ -172,12 +178,87 @@ class TestDenseOracle:
     @pytest.mark.parametrize("n", [1, 5, 9])
     def test_level_table_rebuilds_phase_costs(self, n, kind):
         instance = random_instance(n, kind, seed=n)
-        levels, index = phase_levels(instance)
+        levels, index = instance.phase_levels
         assert index.dtype == np.intp
         assert np.all(np.diff(levels) > 0)
         assert np.array_equal(levels[index], phase_costs(instance))
         if kind == "float":
             assert len(levels) == 1 << n
+
+
+class TestPhaseCosts:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_integer_costs_equal_cost_of_each_bitstring(self, n):
+        # a zero linear and a zero pair coefficient, whatever the draw
+        base = random_instance(n, "integer", seed=n)
+        pairs = {**base.pairs, (0, n - 1): 0} if n > 1 else {}
+        instance = IsingInstance(n, {**base.linear, n - 1: 0}, pairs)
+        costs = phase_costs(instance)
+        assert costs.shape == (1 << n,)
+        for k in range(1 << n):
+            z = tuple((k >> i) & 1 for i in range(n))
+            assert costs[k] == float(cost(instance, z))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_float_costs_equal_a_per_term_loop_in_dict_order(self, n):
+        instance = random_instance(n, "float", seed=50 + n)
+        k = np.arange(1 << n)
+        expected = np.zeros(1 << n)
+        for i, coeff in instance.linear.items():
+            expected += coeff * ((k >> i) & 1)
+        for (i, j), coeff in instance.pairs.items():
+            expected += coeff * (((k >> i) ^ (k >> j)) & 1)
+        assert np.array_equal(phase_costs(instance), expected)
+
+    def test_exact_run_builds_one_level_table(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(instance):
+            calls.append(instance.n_qubits)
+            return phase_costs(instance)
+
+        monkeypatch.setattr(ising, "phase_costs", counting)
+        argv = "run --generator ring:8 --source exact --trials 400 --optimize-steps 3"
+        assert main(argv.split()) == 0
+        assert "energies_equal=true" in capsys.readouterr().out
+        assert calls == [8]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 20])
+def test_index_bits_are_shift_and_mask_bits(n):
+    rng = np.random.default_rng(n)
+    draws = rng.integers(0, 1 << n, size=1000, dtype=np.intp)
+    draws[:2] = 0, (1 << n) - 1
+    expected = ((draws[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    assert_trials(qaoa._index_bits(draws.copy(), n), expected)
+
+
+# Minor page faults of one ``optimize`` call on ring:14, in a fresh process.
+FAULTS_SCRIPT = """
+import resource, sys
+from cryoqaoa.ising import ring_instance
+from cryoqaoa.qaoa import QaoaParams, optimize
+instance, params = ring_instance(14), QaoaParams((0.5,), (0.25,))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+optimize(instance, params, trials_per_step=100, steps=int(sys.argv[1]), seed=0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def optimize_minor_faults(steps):
+    src = str(Path(cryoqaoa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_SCRIPT, str(steps)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout)
+
+
+def test_optimizer_reuses_its_buffers_across_evaluations():
+    # 22 more evaluations may fault in fewer pages than one 2^14 complex
+    # state buffer (256 kB, 64 pages of 4 kB)
+    assert optimize_minor_faults(24) - optimize_minor_faults(2) < 64
 
 
 def test_bit_index_round_trip():
