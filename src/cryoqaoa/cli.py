@@ -10,16 +10,23 @@ Subcommands:
 Exit codes: 0 ok, 1 invariant violation, 2 usage or config error.
 Every CSV starts with a comment line recording the resolved configuration,
 then a header row; output is byte-stable for a fixed seed.
+
+``run`` streams its trials in row chunks.  With the synthetic source, one
+worker thread draws chunk k+1 while the main thread packs, counts, feeds
+the ledger and traces chunk k; it is the same generator in the same order,
+so the trials are those of a serial draw.  The ``--trace`` rows of a chunk
+are formatted together as one byte table.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+import threading
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +42,7 @@ from .config import (
     load_scenario,
     resolved_items,
 )
-from .ising import IsingInstance, chunked_energy, load_instance, make_instance
+from .ising import IsingInstance, chunked_energy, load_instance, make_instance, row_chunks
 from .timing import ExecutionProfile
 
 
@@ -84,14 +91,16 @@ def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> Iterator[n
     """Row chunks of the run's (T, N) uint8 trial matrix, drawn lazily.
 
     The run holds one chunk of ``ising.row_chunks`` at a time, and so does
-    each evaluation of the optimizer, so nothing grows with T.
+    each evaluation of the optimizer, so nothing grows with T.  Synthetic
+    chunks are drawn one ahead by ``_drawn_ahead``; exact ones in turn.
     """
     n = instance.n_qubits
     source = config.source
     if source == "auto":
         source = "exact" if n <= config.statevector_limit else "synthetic"
     if source == "synthetic":
-        return qaoa.synthetic_chunks((config.marginal,) * n, config.trials, config.seed)
+        draw = qaoa.synthetic_draw((config.marginal,) * n, config.seed)
+        return _drawn_ahead(draw, config.trials, n)
     params = qaoa.QaoaParams(config.gammas, config.betas)
     if config.optimize_steps > 0:
         params, _ = qaoa.optimize(
@@ -134,10 +143,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     chunks = _build_trials(config, instance)
     ledger = counters.Ledger(instance, width_b)
     names = [_entry_id_str(e) for e in ledger.entry_order]
-    tails = [f",{name},msb{msb}\n" for name in names for msb in (0, 1)]
-    with _replace_on_success(args.trace) as trace:
+    tails = _row_tails(names)
+    with _replace_on_success(args.trace) as trace, closing(chunks):
         if trace is not None:
-            trace.write(f"{config_comment}\ntrial,bits_sent,entry_id,event\n")
+            trace.write(f"{config_comment}\ntrial,bits_sent,entry_id,event\n".encode())
 
         def feed(q: np.ndarray, rows: int) -> None:
             flushes = ledger.feed(q, rows)
@@ -147,7 +156,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         baseline_energy = chunked_energy(instance, chunks, feed)
         t = ledger.trial_count
         if trace is not None:
-            trace.writelines(f"{t},{width_b},{name},readout\n" for name in names)
+            trace.write("".join(f"{t},{width_b},{name},readout\n" for name in names).encode())
 
     counter_energy = counters.counter_energy_estimate(instance, ledger.collect(), t)
     energies_equal = baseline_energy == counter_energy
@@ -205,9 +214,71 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _drawn_ahead(
+    draw: Callable[[np.ndarray, np.ndarray], np.ndarray], t: int, n: int
+) -> Iterator[np.ndarray]:
+    """The chunks of ``qaoa.synthetic_chunks`` for t >= 1 trials of ``draw``
+    (a ``qaoa.synthetic_draw`` of n qubits), each drawn on one worker
+    thread while the caller works on the chunk before.
+
+    The worker draws chunk k+1 only once chunk k is handed over, so it is
+    never more than one chunk ahead and consumes the stream in the serial
+    order.  An exception raised by ``draw`` reaches the caller in place of
+    its chunk.  The worker is joined when the chunks run out, when such an
+    exception is raised, and when the caller closes this generator early.
+
+    Every array the worker fills is allocated here, on the caller's thread:
+    glibc keeps the blocks a thread allocated in that thread's own malloc
+    arena once freed, where the caller cannot reuse them, and chunks
+    allocated on the worker raised peak RSS by about 2 MB.
+    """
+    ranges = row_chunks(t, n)
+    todo: list[np.ndarray | None] = []  # the next array to fill; None stops the worker
+    done: list = []  # the filled chunk, or the exception that ``draw`` raised
+    wanted, ready = threading.Semaphore(0), threading.Semaphore(0)
+
+    def work() -> None:
+        while True:
+            wanted.acquire()
+            out = todo.pop()
+            if out is None:
+                return
+            try:
+                done.append(draw(out, uniforms))
+            except BaseException as exc:  # raised again by the caller
+                done.append(exc)
+            ready.release()
+
+    def ask(out: np.ndarray | None) -> None:
+        todo.append(out)
+        wanted.release()
+
+    def ask_next() -> bool:
+        start, stop = next(ranges, (0, 0))
+        if start < stop:
+            ask(np.empty((stop - start, n), dtype=bool))
+        return start < stop
+
+    more = ask_next()
+    uniforms = np.empty(todo[0].size)  # the first chunk is the largest
+    worker = threading.Thread(target=work, name="cryoqaoa-draw")
+    worker.start()
+    try:
+        while more:
+            ready.acquire()
+            chunk = done.pop()
+            if isinstance(chunk, BaseException):
+                raise chunk
+            more = ask_next()
+            yield chunk
+    finally:
+        ask(None)
+        worker.join()
+
+
 @contextmanager
-def _replace_on_success(path: str | None) -> Iterator[TextIO | None]:
-    """A text file that appears at ``path`` only if the block completes.
+def _replace_on_success(path: str | None) -> Iterator[BinaryIO | None]:
+    """A binary file that appears at ``path`` only if the block completes.
 
     It is written as a sibling temporary file and renamed at the end, so a
     run that fails midway leaves no partial file behind.  Yields None when
@@ -218,21 +289,52 @@ def _replace_on_success(path: str | None) -> Iterator[TextIO | None]:
         return
     partial = Path(f"{path}.tmp")
     try:
-        with partial.open("w") as handle:
+        with partial.open("wb") as handle:
             yield handle
         partial.replace(path)
     finally:
         partial.unlink(missing_ok=True)
 
 
-def _flush_rows(flushes: counters.Flushes, first: int, tails: Sequence[str]) -> str:
+def _row_tails(names: Sequence[str]) -> np.ndarray:
+    """The trace row ends ``,{name},msb{0|1}\\n`` of every entry name, as a
+    (2M, width) uint8 table padded with zero bytes; row 2e + msb ends the
+    row of entry e sending ``msb``."""
+    tails = [f",{name},msb{msb}\n".encode() for name in names for msb in (0, 1)]
+    width = max(map(len, tails), default=1)
+    return np.array(tails, dtype=f"S{width}").view(np.uint8).reshape(len(tails), width)
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """Nonnegative integers in decimal, one per row of a uint8 table as
+    wide as the largest, each right-aligned after zero pad bytes."""
+    width = len(str(int(values.max()))) if len(values) else 1
+    table = values[:, None] // 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    digits = np.where(table > 0, table % 10 + ord("0"), 0).astype(np.uint8)
+    digits[:, -1] = table[:, -1] % 10 + ord("0")  # 0 prints as one digit
+    return digits
+
+
+def _flush_rows(flushes: counters.Flushes, first: int, tails: np.ndarray) -> bytes:
     """Trace rows of one chunk's MSB transfers, which follow trial ``first``.
 
-    ``tails[2e + msb]`` ends the row of entry e sending ``msb``.
+    ``heads[i]`` starts the rows of the chunk's i-th trial, ``{trial},{bits}``,
+    and ``tails[2e + msb]`` (``_row_tails``) ends the row of entry e sending
+    ``msb``.  The rows are the lines of one fixed-width byte table, whose
+    zero pad bytes are then dropped.
     """
-    heads = [f"{trial},{bits}" for trial, bits in enumerate(flushes.bits.tolist(), first + 1)]
-    rows = zip((flushes.trial - 1 - first).tolist(), (2 * flushes.entry + flushes.msb).tolist())
-    return "".join([heads[i] + tails[k] for i, k in rows])
+    trials = np.arange(first + 1, first + 1 + len(flushes.bits))
+    comma = np.full((len(trials), 1), ord(","), dtype=np.uint8)
+    heads = np.concatenate((_digits(trials), comma, _digits(flushes.bits)), axis=1)
+    # np.take gathers rows about 3 times faster than fancy indexing
+    rows = np.concatenate(
+        (
+            np.take(heads, flushes.trial - 1 - first, axis=0),
+            np.take(tails, 2 * flushes.entry + flushes.msb, axis=0),
+        ),
+        axis=1,
+    )
+    return rows.tobytes().replace(b"\0", b"")
 
 
 def _parse_grid(text: str, parse, flag: str) -> tuple:

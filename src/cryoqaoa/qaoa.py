@@ -17,7 +17,9 @@ sorted order, which draws the same indices.
 
 Also provides a Bernoulli bitstring source for communication studies at
 qubit counts far beyond statevector reach, and a derivative-free parameter
-search (coarse grid, then coordinate refinement).
+search (coarse grid, then coordinate refinement).  ``synthetic_draw``
+fills arrays that the caller allocates, so ``cli`` can draw the chunks of
+``synthetic_chunks`` one ahead on a worker thread with the same stream.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -217,26 +219,45 @@ def sample(state: np.ndarray, t: int, seed: int | np.random.SeedSequence) -> np.
     return np.concatenate(list(sample_chunks(state, t, seed)))
 
 
-def synthetic_chunks(
-    marginals: Sequence[float], t: int, seed: int | np.random.SeedSequence
-) -> Iterator[np.ndarray]:
-    """Deterministic Bernoulli bitstrings with the given per-qubit one-rates.
+def synthetic_draw(
+    marginals: Sequence[float], seed: int | np.random.SeedSequence
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Deterministic Bernoulli bitstrings with the given per-qubit one-rates,
+    drawn into the caller's arrays.
 
-    Yields (rows, N) uint8 arrays of consecutive trials, in the row chunks
-    of ``row_chunks``.  The uniforms are drawn chunk by chunk, which
-    consumes the generator stream exactly as one (t, N) draw would.
+    ``draw(out, uniforms)`` fills the (rows, N) bool array ``out`` with the
+    next rows of one generator stream and returns it viewed as uint8;
+    ``uniforms`` is float scratch of at least rows * N cells.  Calls over
+    consecutive rows consume the stream exactly as one (t, N) draw would.
     """
-    if t < 1:
-        raise ValueError(f"trial count must be >= 1, got {t}")
     p = np.asarray(marginals, dtype=float)
     if p.ndim != 1 or len(p) < 1:
         raise ValueError("marginals must be a nonempty 1-D sequence")
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("marginals must lie in [0, 1]")
     rng = np.random.default_rng(seed)
+
+    def draw(out: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        u = rng.random(out=uniforms[: out.size].reshape(out.shape))
+        return np.less(u, p, out=out).view(np.uint8)
+
+    return draw
+
+
+def synthetic_chunks(
+    marginals: Sequence[float], t: int, seed: int | np.random.SeedSequence
+) -> Iterator[np.ndarray]:
+    """The trials of ``synthetic_draw``, as (rows, N) uint8 arrays of
+    consecutive trials in the row chunks of ``row_chunks``.
+
+    ``cli`` draws the same chunks one ahead, on a worker thread.
+    """
+    if t < 1:
+        raise ValueError(f"trial count must be >= 1, got {t}")
+    draw, n = synthetic_draw(marginals, seed), len(marginals)
     return (
-        np.less(rng.random((stop - start, len(p))), p).view(np.uint8)
-        for start, stop in row_chunks(t, len(p))
+        draw(np.empty((stop - start, n), dtype=bool), np.empty((stop - start) * n))
+        for start, stop in row_chunks(t, n)
     )
 
 

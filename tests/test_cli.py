@@ -1,6 +1,10 @@
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,9 @@ import cryoqaoa
 import cryoqaoa.cli as cli
 from cryoqaoa.cli import main
 from cryoqaoa.config import ScenarioConfig, load_scenario
+from cryoqaoa.counters import Flushes, Ledger
+from cryoqaoa.ising import CHUNK_CELLS, make_instance, pack_trials, trial_chunks
+from cryoqaoa.qaoa import synthetic_chunks, synthetic_draw, synthetic_trials
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -268,6 +275,31 @@ class TestRun:
         expected += [f"{t},{b},{i}-{j},readout" for i, j in proposed.totals]
         assert trace.read_text().splitlines()[2:] == expected
 
+    def test_failed_synthetic_run_joins_its_worker(self, capsys, monkeypatch, tmp_path):
+        # the ledger fails on the first of several chunks while the worker
+        # draws the second; the run still ends with the worker joined
+        real = np.bitwise_count
+        monkeypatch.setattr(np, "bitwise_count", lambda a: 2 * real(a))
+        trace = tmp_path / "trace.csv"
+        code, _, err = run_cli(
+            capsys,
+            "run",
+            "--generator",
+            "path:750",
+            "--source",
+            "synthetic",
+            "--trials",
+            "2000",
+            "--counter-bits",
+            "3",
+            "--trace",
+            str(trace),
+        )
+        assert code == 1
+        assert "invariant violation: derived MSB" in err
+        assert list(tmp_path.iterdir()) == []
+        assert not [t for t in threading.enumerate() if t.name == "cryoqaoa-draw"]
+
     def test_streamed_run_memory_is_bounded(self, tmp_path):
         # the (T, N) matrix alone would take 150 MB
         trace = tmp_path / "trace.csv"
@@ -360,6 +392,195 @@ BAD_FILE_VALUES = [
 
 def flag(key):
     return "--" + key.replace("_", "-")
+
+
+def _oracle_rows(flushes, first, names):
+    """The trace rows of one chunk by the per-row string formula."""
+    tails = [f",{name},msb{msb}\n" for name in names for msb in (0, 1)]
+    heads = [f"{trial},{bits}" for trial, bits in enumerate(flushes.bits.tolist(), first + 1)]
+    rows = zip((flushes.trial - 1 - first).tolist(), (2 * flushes.entry + flushes.msb).tolist())
+    return "".join([heads[i] + tails[k] for i, k in rows]).encode()
+
+
+def _fed_chunks(instance, width_b, chunks):
+    """(flushes, first trial) of every chunk fed to a fresh ledger."""
+    ledger = Ledger(instance, width_b)
+    for z in chunks:
+        flushes = ledger.feed(pack_trials(z), len(z))
+        yield flushes, ledger.trial_count - len(z)
+
+
+class TestFlushRows:
+    """``cli._flush_rows`` against the per-row string formula it replaced."""
+
+    @pytest.mark.parametrize(
+        "spec, width_b, t, one_chunk",
+        [
+            ("path:750", 64, 100, False),  # no flush slot in the chunk
+            ("ring:4", 5, 300, False),  # M = 4 < W = 16: most trials send no bit
+            ("ring:4", 2, 12_000, True),  # trials 9->10 ... 9999->10000 in one chunk
+            ("path:750+linear", 2, 700, False),  # single and pair ids, both MSBs
+            ("complete:30", 3, 3001, False),
+        ],
+    )
+    def test_rows_equal_string_formula(self, spec, width_b, t, one_chunk):
+        if spec == "path:750+linear":
+            path = make_instance("path:750")
+            instance = replace(path, linear=dict.fromkeys(range(750), 1))
+        else:
+            instance = make_instance(spec)
+        n = instance.n_qubits
+        z = synthetic_trials([0.5] * n, t, seed=7)
+        chunks = [z] if one_chunk else trial_chunks(z, n)
+        names = [cli._entry_id_str(e) for e in Ledger(instance, width_b).entry_order]
+        tails = cli._row_tails(names)
+        flushed, sent = set(), set()
+        for flushes, first in _fed_chunks(instance, width_b, chunks):
+            assert cli._flush_rows(flushes, first, tails) == _oracle_rows(flushes, first, names)
+            flushed.update(names[e] for e in flushes.entry.tolist())
+            sent.update(flushes.msb.tolist())
+        if width_b == 64:
+            assert not flushed
+        if one_chunk:
+            assert t > 10_000 and t * n <= CHUNK_CELLS
+        if width_b == 2:
+            assert sent == {0, 1}
+        if spec == "path:750+linear":
+            assert {"7", "748-749"} <= flushed
+
+    def test_rows_of_hand_made_slots(self):
+        # trial numbers across every power of ten up to 10^5, bit counts up to 3
+        # digits, and a zero-bit trial that no row names
+        first = 99_990
+        bits = np.array([0, 1, 12, 123, 7, 0, 9, 10, 99, 100, 5, 1000, 3])
+        trial = np.array([2, 2, 3, 4, 5, 7, 8, 9, 10, 10, 11, 12, 13]) + first
+        entry = np.arange(len(trial)) % 3
+        msb = np.arange(len(trial)) % 2
+        flushes = Flushes(trial, entry, msb, bits)
+        names = ["7", "748-749", "0"]
+        expected = _oracle_rows(flushes, first, names)
+        assert cli._flush_rows(flushes, first, cli._row_tails(names)) == expected
+        assert b"99992,1,7,msb0\n" in expected and b"\n100000,100,0,msb0\n" in expected
+
+    @pytest.mark.parametrize("values", [[0], [0, 9, 10, 99, 100, 12345], [10**12, 1]])
+    def test_digits_print_like_str(self, values):
+        table = cli._digits(np.array(values, dtype=np.int64))
+        assert [row.tobytes().strip(b"\0").decode() for row in table] == list(map(str, values))
+        assert table.shape[1] == len(str(max(values)))
+
+
+class _CountingDraw:
+    """A ``qaoa.synthetic_draw`` that counts its calls and can raise on one;
+    the caller counts the chunks it has taken in ``taken``."""
+
+    def __init__(self, n, seed, fail_at=None):
+        self.draw = synthetic_draw([0.5] * n, seed)
+        self.calls = 0
+        self.taken = 0
+        self.fail_at = fail_at
+
+    def __call__(self, out, uniforms):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError(f"chunk {self.calls} failed")
+        return self.draw(out, uniforms)
+
+
+def _draw_workers():
+    return [thread for thread in threading.enumerate() if thread.name == "cryoqaoa-draw"]
+
+
+class TestDrawnAhead:
+    """``cli._drawn_ahead``: the synthetic chunks, one worker, one chunk ahead."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, rather than hang, when the hand-over between the caller and
+        the worker deadlocks: the alarm interrupts the caller's wait."""
+
+        def expire(signum, frame):
+            raise TimeoutError("no chunk within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("n, t", [(750, 1), (750, 1003), (40, 10_000), (5, 77)])
+    def test_chunks_equal_serial_draw(self, n, t):
+        drawn = [c.copy() for c in cli._drawn_ahead(synthetic_draw([0.3] * n, 9), t, n)]
+        serial = list(synthetic_chunks([0.3] * n, t, 9))
+        assert [c.shape for c in drawn] == [c.shape for c in serial]
+        assert all(a.dtype == np.uint8 and np.array_equal(a, b) for a, b in zip(drawn, serial))
+        assert not _draw_workers()
+
+    def test_never_more_than_one_chunk_ahead(self):
+        n, t = 750, 3000  # 9 chunks
+        draw = _CountingDraw(n, 1)
+        for _ in cli._drawn_ahead(draw, t, n):
+            draw.taken += 1
+            time.sleep(0.005)  # time for a worker that ran ahead to do so
+            assert draw.calls <= draw.taken + 1
+        assert draw.calls == draw.taken == 9
+        assert not _draw_workers()
+
+    def test_early_close_joins_worker(self):
+        n, t = 750, 3000
+        draw = _CountingDraw(n, 1)
+        chunks = cli._drawn_ahead(draw, t, n)
+        for _ in range(2):
+            next(chunks)
+            draw.taken += 1
+        assert len(_draw_workers()) == 1
+        chunks.close()
+        assert not _draw_workers()
+        assert draw.calls <= 3
+
+    def test_concurrent_passes_under_frequent_switches(self):
+        # four passes at once, each with its own worker: eight threads on
+        # fewer cores, switching every microsecond
+        n, t = 750, 3440  # 10 chunks
+        serial = np.concatenate(list(synthetic_chunks([0.4] * n, t, 5)))
+        results = {}
+
+        def run_pass(k):
+            draw = _CountingDraw(n, 5)
+            draw.draw = synthetic_draw([0.4] * n, 5)
+            chunks, ahead = [], 0
+            for chunk in cli._drawn_ahead(draw, t, n):
+                draw.taken += 1
+                ahead = max(ahead, draw.calls - draw.taken)
+                chunks.append(chunk)
+            results[k] = (np.concatenate(chunks), draw.calls, draw.taken, ahead)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            passes = [threading.Thread(target=run_pass, args=(k,)) for k in range(4)]
+            for thread in passes:
+                thread.start()
+            for thread in passes:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in passes)
+        assert sorted(results) == [0, 1, 2, 3]
+        for trials, calls, taken, ahead in results.values():
+            assert np.array_equal(trials, serial)
+            assert calls == taken == 10 and ahead <= 1
+
+    def test_draw_error_surfaces_with_worker_joined(self):
+        n, t = 750, 3000
+        draw = _CountingDraw(n, 1, fail_at=3)
+        chunks = cli._drawn_ahead(draw, t, n)
+        with pytest.raises(RuntimeError, match="chunk 3 failed"):
+            for _ in chunks:
+                draw.taken += 1
+        assert not _draw_workers()
+        assert draw.taken == 2 and draw.calls == 3
 
 
 class TestRunKeys:

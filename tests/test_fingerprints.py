@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 from cryoqaoa.cli import build_parser, main
+from cryoqaoa.counters import run_proposed
+from cryoqaoa.ising import worstcase_instance
+from cryoqaoa.qaoa import synthetic_trials
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -29,10 +32,10 @@ worker = _load_worker()
 FINGERPRINTS = json.loads((BENCH / "fingerprints.json").read_text())
 
 
-# Every stored exact-ring16 seed, so that a rounding change in the
-# statevector that moves a draw fails here; two synthetic seeds.
-OPS = [("exact-ring16", seed) for seed in range(48)] + [
-    ("synthetic-path750", seed) for seed in (0, 1)
+# Every stored seed of both workloads: a rounding change in the statevector
+# that moves a draw, or a synthetic draw out of stream order, fails here.
+OPS = [
+    (workload, seed) for workload in ("exact-ring16", "synthetic-path750") for seed in range(48)
 ]
 
 
@@ -55,3 +58,23 @@ def test_run_op_matches_stored_fingerprint(capsys, tmp_path, workload, op_seed):
 def test_audit_sweeps_argv_parse(tmp_path):
     for argv in worker.op_argvs("audit-sweeps", False, 0, tmp_path):
         build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("op_seed", [0, 1])
+def test_synthetic_trace_equals_ledger_events(capsys, tmp_path, op_seed):
+    # the benchmark's path:750 op streams 30 chunks, drawn one ahead
+    (argv,) = worker.op_argvs("synthetic-path750", False, op_seed, tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    summary = worker.parse_summary(out)
+    t, b = int(summary["trials"]), int(summary["counter_bits"])
+    assert t == 10_000 and "--marginal" not in argv
+    proposed = run_proposed(worstcase_instance(750), synthetic_trials([0.5] * 750, t, op_seed), b)
+    rows = [out.splitlines()[0], "trial,bits_sent,entry_id,event"]
+    rows += [
+        f"{trial},{proposed.bits_log[trial - 1]},{i}-{j},msb{msb}"
+        for trial, (i, j), msb in proposed.flush_events
+    ]
+    rows += [f"{t},{b},{i}-{j},readout" for i, j in proposed.totals]
+    trace = Path(argv[argv.index("--trace") + 1]).read_bytes()
+    assert trace == "".join(row + "\n" for row in rows).encode()
