@@ -9,20 +9,23 @@ trial boundary:
   * smoothing: bits sent this trial <= ceil(M / 2^(b-1)),
 
 then at the end: every sliding 2^(b-1)-trial window carried exactly M
-bits, collected totals match the tally, the counter energy equals the
-directly sampled energy exactly, the closed-form ledger of
-``run_proposed`` (the production path) reproduces the bank's bit log,
-flush events and totals, and readout round-trips.  The first
-failing trial is reported and the failing prefix is kept as the
-counterexample (checks are per-trial, so the prefix up to the divergence
-is already minimal).
+bits, collected totals match the tally, and readout round-trips.  The
+production pass (``counters.counter_pass``, through ``run_proposed``) runs
+on the case's trial array as ``run`` runs it: its sampled energy must
+equal the bank's counter energy exactly, and its ledger must reproduce
+the bank's bit log, flush events and totals.  The first failing trial is
+reported and the failing prefix is kept as the counterexample (checks are
+per-trial, so the prefix up to the divergence is already minimal); past
+the end of a shorter log counts as a divergence.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from .counters import (
     readout_entry,
     run_proposed,
 )
-from .ising import IsingInstance, format_bits, sampled_energy, trial_array
+from .ising import IsingInstance, Trials, format_bits, trial_array
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class AuditViolation:
     message: str
     trial_index: int | None
     instance: IsingInstance
-    trials: tuple[tuple[int, ...], ...]
+    trials: Trials
     width_b: int
 
 
@@ -68,35 +71,27 @@ def _entry_hits(entry_order: Sequence[EntryId], z: np.ndarray) -> np.ndarray:
 
 def check_case(
     instance: IsingInstance,
-    trials: Sequence[tuple[int, ...]],
+    trials: Trials,
     width_b: int,
     fault: str | None = None,
 ) -> AuditViolation | None:
-    """Run one instance/trial-set case against all invariants."""
-
-    def violation(kind: str, message: str, trial: int | None) -> AuditViolation:
-        return AuditViolation(
-            kind=kind,
-            message=message,
-            trial_index=trial,
-            instance=instance,
-            trials=tuple(tuple(z) for z in trials),
-            width_b=width_b,
-        )
-
+    """Run one instance and nonempty trial array against all invariants."""
     z = trial_array(trials, instance.n_qubits)
+    if len(z) == 0:
+        raise ValueError("trials must be nonempty")
+    rows = z.tolist()
+    # violation(kind, message, trial_index)
+    violation = functools.partial(AuditViolation, instance=instance, trials=z, width_b=width_b)
     bank = CounterBank.for_instance(instance, width_b, fault=fault)
     bank.event_log = []
     accumulator = RoomTempAccumulator()
-    entry_order = bank.entry_order
-    window = bank.flush_window
-    m = bank.m_in_use
+    entry_order, window, m = bank.entry_order, bank.flush_window, bank.m_in_use
     max_slice = -(-m // window)
     # tallies[t][k]: the direct tally of entry k after trials 0..t
     tallies = np.cumsum(_entry_hits(entry_order, z), axis=0).tolist()
     bits_log: list[int] = []
 
-    for t_idx, row in enumerate(trials):
+    for t_idx, row in enumerate(rows):
         bank.record_trial(row)
         bits = bank.flush_msbs(accumulator)
         bits_log.append(bits)
@@ -108,16 +103,15 @@ def check_case(
             )
         units = accumulator.upper_counts
         got = [units.get(e, 0) * window + bank.entries[e].value for e in entry_order]
-        k = _first_mismatch(got, tallies[t_idx])
-        if k is not None:
+        if mismatch := _first_mismatch(got, tallies[t_idx]):
+            k, ours, direct = mismatch
             return violation(
                 "reconstruction",
-                f"entry {entry_order[k]}: warm+cold = {got[k]}, "
-                f"direct tally = {tallies[t_idx][k]}",
+                f"entry {entry_order[k]}: warm+cold = {ours}, direct tally = {direct}",
                 t_idx,
             )
 
-    if m > 0 and len(trials) >= window:
+    if m > 0 and len(rows) >= window:
         prefix = np.cumsum([0, *bits_log])
         bad = np.flatnonzero(prefix[window:] - prefix[:-window] != m)
         if len(bad):
@@ -129,52 +123,47 @@ def check_case(
                 start,
             )
 
+    last = len(rows) - 1
     collection = collect_non_msbs(bank, accumulator)
-    final = tallies[-1] if tallies else [0] * m
-    for e, expected in zip(entry_order, final):
+    for e, expected in zip(entry_order, tallies[-1]):
         if collection.totals[e] != expected:
             return violation(
                 "collection",
                 f"entry {e}: collected {collection.totals[e]}, direct tally = {expected}",
-                len(trials) - 1 if trials else None,
+                last,
             )
 
-    if len(trials) > 0:
-        counter_energy = counter_energy_estimate(instance, collection.totals, len(trials))
-        direct_energy = sampled_energy(instance, z)
-        if counter_energy != direct_energy:
-            return violation(
-                "energy",
-                f"counter estimate {counter_energy} != sampled energy {direct_energy}",
-                len(trials) - 1,
-            )
-
+    # the production pass: one packing per chunk for the sampled energy and the ledger
     ledger = run_proposed(instance, z, width_b)
-    k = _first_mismatch(ledger.bits_log, tuple(bits_log))
-    if k is not None:
+    counter_energy = counter_energy_estimate(instance, collection.totals, len(rows))
+    if counter_energy != ledger.sampled_energy:
         return violation(
-            "ledger", f"trial {k}: ledger sent {ledger.bits_log[k]} bits, bank {bits_log[k]}", k
+            "energy",
+            f"counter estimate {counter_energy} != sampled energy {ledger.sampled_energy}",
+            last,
         )
-    k = _first_mismatch(ledger.flush_events, tuple(bank.event_log))
-    if k is not None:
-        ours, theirs = ledger.flush_events[k], bank.event_log[k]
-        return violation(
-            "ledger", f"flush {k}: ledger {ours}, bank {theirs}", min(ours[0], theirs[0]) - 1
-        )
+
+    if mismatch := _first_mismatch(ledger.bits_log, tuple(bits_log)):
+        k, ours, theirs = mismatch
+        return violation("ledger", f"trial {k}: ledger sent {ours} bits, bank {theirs}", k)
+    if mismatch := _first_mismatch(ledger.flush_events, tuple(bank.event_log)):
+        k, ours, theirs = mismatch
+        trial = min(event[0] for event in (ours, theirs) if event is not None) - 1
+        return violation("ledger", f"flush {k}: ledger {ours}, bank {theirs}", trial)
     if ledger.totals != collection.totals:
         return violation(
-            "ledger",
-            f"ledger totals {ledger.totals} != bank totals {collection.totals}",
-            len(trials) - 1 if trials else None,
+            "ledger", f"ledger totals {ledger.totals} != bank totals {collection.totals}", last
         )
     return None
 
 
-def _first_mismatch(ours: Sequence, theirs: Sequence) -> int | None:
-    """First index where two equally long sequences differ, else None."""
+def _first_mismatch(ours: Sequence, theirs: Sequence) -> tuple[int, Any, Any] | None:
+    """The first index where two sequences differ and their items there,
+    None standing in past the end of the shorter one; None if they are equal."""
     if ours == theirs:
         return None
-    return next(k for k, (a, b) in enumerate(zip(ours, theirs)) if a != b)
+    pairs = enumerate(itertools.zip_longest(ours, theirs))
+    return next((k, a, b) for k, (a, b) in pairs if a != b)
 
 
 def check_readout_roundtrip(b_values: Sequence[int]) -> AuditViolation | None:
@@ -184,13 +173,12 @@ def check_readout_roundtrip(b_values: Sequence[int]) -> AuditViolation | None:
             entry.value = v
             event = readout_entry(entry)
             if event.recovered_value != v or event.pulse_count != (1 << b) - v:
-                inst = IsingInstance(1)
                 return AuditViolation(
                     kind="readout",
                     message=f"b={b}, v={v}: recovered {event.recovered_value} "
                     f"from {event.pulse_count} pulses",
                     trial_index=None,
-                    instance=inst,
+                    instance=IsingInstance(1),
                     trials=(),
                     width_b=b,
                 )
@@ -199,29 +187,25 @@ def check_readout_roundtrip(b_values: Sequence[int]) -> AuditViolation | None:
 
 def random_instance(rng: np.random.Generator, n_max: int) -> IsingInstance:
     n = int(rng.integers(1, n_max + 1))
-    linear = {}
-    for i in range(n):
-        if rng.random() < 0.5:
-            linear[i] = int(rng.integers(-5, 6))
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.4:
-                pairs[(i, j)] = int(rng.integers(-5, 6))
+    # each draw decides a term, then draws its coefficient
+    linear = {i: int(rng.integers(-5, 6)) for i in range(n) if rng.random() < 0.5}
+    pairs = {
+        pair: int(rng.integers(-5, 6))
+        for pair in itertools.combinations(range(n), 2)
+        if rng.random() < 0.4
+    }
     return IsingInstance(n_qubits=n, linear=linear, pairs=pairs, label="audit-random")
 
 
-def random_trials(
-    rng: np.random.Generator, n: int, t_max: int
-) -> list[tuple[int, ...]]:
+def random_trials(rng: np.random.Generator, n: int, t_max: int) -> np.ndarray:
+    """A (T, n) array of uniform random bits, 1 <= T <= t_max."""
     t = int(rng.integers(1, t_max + 1))
-    bits = rng.integers(0, 2, size=(t, n))
-    return list(map(tuple, bits.tolist()))
+    return rng.integers(0, 2, size=(t, n))
 
 
-def cyclic_trials(n: int, t: int) -> list[tuple[int, ...]]:
-    """Deterministic trials cycling through all 2^n bitstrings in order."""
-    return [tuple((k >> i) & 1 for i in range(n)) for k in (j % (1 << n) for j in range(t))]
+def cyclic_trials(n: int, t: int) -> np.ndarray:
+    """A (t, n) array of trials cycling through all 2^n bitstrings in order."""
+    return np.arange(t)[:, None] % (1 << n) >> np.arange(n) & 1
 
 
 def _exhaustive_instances(n: int):
@@ -230,19 +214,14 @@ def _exhaustive_instances(n: int):
     Both energy paths are linear in each coefficient, so indicator
     coefficients decide equality for all coefficient values.
     """
-    slots = [(i,) for i in range(n)] + [
-        (i, j) for i in range(n) for j in range(i + 1, n)
-    ]
-    for mask in range(1 << len(slots)):
-        linear = {}
-        pairs = {}
-        for k, slot in enumerate(slots):
-            if mask >> k & 1:
-                if len(slot) == 1:
-                    linear[slot[0]] = 1
-                else:
-                    pairs[slot] = 1
-        yield IsingInstance(n_qubits=n, linear=linear, pairs=pairs, label="audit-exhaustive")
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << (n + len(pairs))):
+        yield IsingInstance(
+            n_qubits=n,
+            linear={i: 1 for i in range(n) if mask >> i & 1},
+            pairs={pair: 1 for k, pair in enumerate(pairs, n) if mask >> k & 1},
+            label="audit-exhaustive",
+        )
 
 
 def run_audit(
@@ -315,9 +294,7 @@ def write_counterexample(path: str | Path, violation: AuditViolation) -> None:
     for i, j in sorted(violation.instance.pairs):
         lines.append(f"{i} {j} = {violation.instance.pairs[(i, j)]}")
     lines.append("[trials]")
-    end = len(violation.trials)
-    if violation.trial_index is not None:
-        end = min(end, violation.trial_index + 1)
+    end = None if violation.trial_index is None else violation.trial_index + 1
     for z in violation.trials[:end]:
         lines.append(format_bits(z))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -11,22 +11,21 @@ Exit codes: 0 ok, 1 invariant violation, 2 usage or config error.
 Every CSV starts with a comment line recording the resolved configuration,
 then a header row; output is byte-stable for a fixed seed.
 
-``run`` streams its trials in row chunks.  With the synthetic source, one
-worker thread draws chunk k+1 while the main thread packs, counts, feeds
-the ledger and traces chunk k; it is the same generator in the same order,
-so the trials are those of a serial draw.  The ``--trace`` rows of a chunk
-are formatted together as one byte table.
+``run`` streams its trials in row chunks through ``counters.counter_pass``,
+which packs each chunk once for the sampled energy and the ledger.  The
+synthetic source (``qaoa.synthetic_chunks``) draws chunk k+1 on a worker
+thread while the pass packs, counts, feeds the ledger and traces chunk k.
+The ``--trace`` rows of a chunk are formatted together as one byte table.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, Sequence
+from typing import Any, BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .config import (
     load_scenario,
     resolved_items,
 )
-from .ising import IsingInstance, chunked_energy, load_instance, make_instance, row_chunks
+from .ising import IsingInstance, load_instance, make_instance
 from .timing import ExecutionProfile
 
 
@@ -92,15 +91,14 @@ def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> Iterator[n
 
     The run holds one chunk of ``ising.row_chunks`` at a time, and so does
     each evaluation of the optimizer, so nothing grows with T.  Synthetic
-    chunks are drawn one ahead by ``_drawn_ahead``; exact ones in turn.
+    chunks are drawn one ahead on a worker thread; exact ones in turn.
     """
     n = instance.n_qubits
     source = config.source
     if source == "auto":
         source = "exact" if n <= config.statevector_limit else "synthetic"
     if source == "synthetic":
-        draw = qaoa.synthetic_draw((config.marginal,) * n, config.seed)
-        return _drawn_ahead(draw, config.trials, n)
+        return qaoa.synthetic_chunks((config.marginal,) * n, config.trials, config.seed)
     params = qaoa.QaoaParams(config.gammas, config.betas)
     if config.optimize_steps > 0:
         params, _ = qaoa.optimize(
@@ -141,19 +139,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{k}={_fmt(v)}" for k, v in resolved_items(config)
     )
     chunks = _build_trials(config, instance)
-    ledger = counters.Ledger(instance, width_b)
-    names = [_entry_id_str(e) for e in ledger.entry_order]
-    tails = _row_tails(names)
     with _replace_on_success(args.trace) as trace, closing(chunks):
         if trace is not None:
+            names = [_entry_id_str(e) for e in (*instance.terms[0], *instance.terms[1])]
+            tails = _row_tails(names)
             trace.write(f"{config_comment}\ntrial,bits_sent,entry_id,event\n".encode())
 
-        def feed(q: np.ndarray, rows: int) -> None:
-            flushes = ledger.feed(q, rows)
-            if trace is not None:
-                trace.write(_flush_rows(flushes, ledger.trial_count - rows, tails))
+        def write_rows(flushes: counters.Flushes, first: int) -> None:
+            trace.write(_flush_rows(flushes, first, tails))
 
-        baseline_energy = chunked_energy(instance, chunks, feed)
+        baseline_energy, ledger = counters.counter_pass(
+            instance, chunks, width_b, None if trace is None else write_rows
+        )
         t = ledger.trial_count
         if trace is not None:
             trace.write("".join(f"{t},{width_b},{name},readout\n" for name in names).encode())
@@ -212,68 +209,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("invariant violation: counter energy differs from baseline", file=sys.stderr)
         return 1
     return 0
-
-
-def _drawn_ahead(
-    draw: Callable[[np.ndarray, np.ndarray], np.ndarray], t: int, n: int
-) -> Iterator[np.ndarray]:
-    """The chunks of ``qaoa.synthetic_chunks`` for t >= 1 trials of ``draw``
-    (a ``qaoa.synthetic_draw`` of n qubits), each drawn on one worker
-    thread while the caller works on the chunk before.
-
-    The worker draws chunk k+1 only once chunk k is handed over, so it is
-    never more than one chunk ahead and consumes the stream in the serial
-    order.  An exception raised by ``draw`` reaches the caller in place of
-    its chunk.  The worker is joined when the chunks run out, when such an
-    exception is raised, and when the caller closes this generator early.
-
-    Every array the worker fills is allocated here, on the caller's thread:
-    glibc keeps the blocks a thread allocated in that thread's own malloc
-    arena once freed, where the caller cannot reuse them, and chunks
-    allocated on the worker raised peak RSS by about 2 MB.
-    """
-    ranges = row_chunks(t, n)
-    todo: list[np.ndarray | None] = []  # the next array to fill; None stops the worker
-    done: list = []  # the filled chunk, or the exception that ``draw`` raised
-    wanted, ready = threading.Semaphore(0), threading.Semaphore(0)
-
-    def work() -> None:
-        while True:
-            wanted.acquire()
-            out = todo.pop()
-            if out is None:
-                return
-            try:
-                done.append(draw(out, uniforms))
-            except BaseException as exc:  # raised again by the caller
-                done.append(exc)
-            ready.release()
-
-    def ask(out: np.ndarray | None) -> None:
-        todo.append(out)
-        wanted.release()
-
-    def ask_next() -> bool:
-        start, stop = next(ranges, (0, 0))
-        if start < stop:
-            ask(np.empty((stop - start, n), dtype=bool))
-        return start < stop
-
-    more = ask_next()
-    uniforms = np.empty(todo[0].size)  # the first chunk is the largest
-    worker = threading.Thread(target=work, name="cryoqaoa-draw")
-    worker.start()
-    try:
-        while more:
-            ready.acquire()
-            chunk = done.pop()
-            if isinstance(chunk, BaseException):
-                raise chunk
-            more = ask_next()
-            yield chunk
-    finally:
-        ask(None)
-        worker.join()
 
 
 @contextmanager

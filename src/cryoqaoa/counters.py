@@ -25,15 +25,15 @@ the fault hooks and the pulse-stream readout.  ``Ledger``, the production
 path, derives the same transfers and residuals in closed form from each
 entry's running tally and never builds a bank.  It is fed the
 ``pack_trials`` rows of one chunk of trials at a time (trial 8j + k in bit
-k of byte j), and keeps only per-entry state, so ``run`` streams its
-trials through it in bounded memory; ``run_proposed`` feeds it a whole
-trial array in the trial sources' row chunks.
+k of byte j), and keeps only per-entry state.  ``counter_pass`` is the one
+pass that feeds it: it packs each chunk once for the ledger and the sampled
+energy, for ``run`` and for ``run_proposed``, which also logs every transfer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .ising import (
     Coeff,
     IsingInstance,
     Trials,
+    chunked_energy,
     hit_energy,
-    pack_trials,
     packed_hits,
     sampled_energy,
     term_indices,
@@ -270,7 +270,8 @@ def run_baseline(instance: IsingInstance, trials: Trials) -> BaselineRun:
 
 @dataclass(frozen=True)
 class ProposedRun:
-    energy: Coeff | None
+    energy: Coeff  # from the counter tallies
+    sampled_energy: Coeff  # of the same pass
     totals: dict[EntryId, int]
     bits_log: tuple[int, ...]
     peak_bits_per_trial: int
@@ -387,26 +388,46 @@ class Ledger:
         return dict(zip(self.entry_order, (upper + residual).tolist()))
 
 
+def counter_pass(
+    instance: IsingInstance,
+    chunks: Iterable[np.ndarray],
+    width_b: int,
+    each: Callable[[Flushes, int], None] | None = None,
+) -> tuple[Coeff, Ledger]:
+    """The sampled energy of a nonempty pass of (rows, N) uint8 trial chunks
+    (``chunked_energy``) and a ``Ledger`` fed its packed rows.  ``each``, if
+    given, gets every chunk's transfers and the trial count before it."""
+    ledger = Ledger(instance, width_b)
+
+    def feed(q: np.ndarray, rows: int) -> None:
+        flushes = ledger.feed(q, rows)
+        if each is not None:
+            each(flushes, ledger.trial_count - rows)
+
+    return chunked_energy(instance, chunks, feed), ledger
+
+
 def run_proposed(
     instance: IsingInstance,
     trials: Trials,
     width_b: int,
 ) -> ProposedRun:
-    """Counter-bank transfers over all trials, fed to a ``Ledger`` in the
-    ``trial_chunks`` of the trial sources, then collect and estimate."""
-    ledger = Ledger(instance, width_b)
-    entry_order = ledger.entry_order
+    """``counter_pass`` over the ``trial_chunks`` of a nonempty trial array,
+    logging every transfer, then collect and estimate."""
+    entry_order = [*instance.terms[0], *instance.terms[1]]
     bits_log: list[int] = []
     events: list[tuple[int, EntryId, int]] = []
-    for z in trial_chunks(trials, instance.n_qubits):
-        flushes = ledger.feed(pack_trials(z), len(z))
-        bits_log += flushes.bits.tolist()
+
+    def log(flushes: Flushes, first: int) -> None:
+        bits_log.extend(flushes.bits.tolist())
         entries = [entry_order[e] for e in flushes.entry.tolist()]
         events.extend(zip(flushes.trial.tolist(), entries, flushes.msb.tolist()))
+
+    sampled, ledger = counter_pass(instance, trial_chunks(trials, instance.n_qubits), width_b, log)
     totals = ledger.collect()
-    t = ledger.trial_count
     return ProposedRun(
-        energy=counter_energy_estimate(instance, totals, t) if t > 0 else None,
+        energy=counter_energy_estimate(instance, totals, ledger.trial_count),
+        sampled_energy=sampled,
         totals=totals,
         bits_log=tuple(bits_log),
         peak_bits_per_trial=ledger.peak_bits_per_trial,

@@ -17,15 +17,18 @@ sorted order, which draws the same indices.
 
 Also provides a Bernoulli bitstring source for communication studies at
 qubit counts far beyond statevector reach, and a derivative-free parameter
-search (coarse grid, then coordinate refinement).  ``synthetic_draw``
-fills arrays that the caller allocates, so ``cli`` can draw the chunks of
-``synthetic_chunks`` one ahead on a worker thread with the same stream.
+search (coarse grid, then coordinate refinement).  ``synthetic_chunks``
+draws each chunk one ahead on a worker thread, from one generator stream
+in the serial order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -219,46 +222,70 @@ def sample(state: np.ndarray, t: int, seed: int | np.random.SeedSequence) -> np.
     return np.concatenate(list(sample_chunks(state, t, seed)))
 
 
-def synthetic_draw(
-    marginals: Sequence[float], seed: int | np.random.SeedSequence
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Deterministic Bernoulli bitstrings with the given per-qubit one-rates,
-    drawn into the caller's arrays.
-
-    ``draw(out, uniforms)`` fills the (rows, N) bool array ``out`` with the
-    next rows of one generator stream and returns it viewed as uint8;
-    ``uniforms`` is float scratch of at least rows * N cells.  Calls over
-    consecutive rows consume the stream exactly as one (t, N) draw would.
-    """
+def synthetic_chunks(
+    marginals: Sequence[float], t: int, seed: int | np.random.SeedSequence
+) -> Iterator[np.ndarray]:
+    """Deterministic Bernoulli bitstrings with the given per-qubit one-rates:
+    the (rows, N) uint8 chunks of ``row_chunks`` of one whole draw
+    ``default_rng(seed).random((t, N)) < marginals``, each drawn one chunk
+    ahead on a worker thread (``_drawn_ahead``)."""
     p = np.asarray(marginals, dtype=float)
     if p.ndim != 1 or len(p) < 1:
         raise ValueError("marginals must be a nonempty 1-D sequence")
-    if np.any(p < 0) or np.any(p > 1):
+    if not np.all((p >= 0) & (p <= 1)):  # NaN too
         raise ValueError("marginals must lie in [0, 1]")
+    if t < 1:
+        raise ValueError(f"trial count must be >= 1, got {t}")
     rng = np.random.default_rng(seed)
 
     def draw(out: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         u = rng.random(out=uniforms[: out.size].reshape(out.shape))
         return np.less(u, p, out=out).view(np.uint8)
 
-    return draw
+    return _drawn_ahead(draw, t, len(p))
 
 
-def synthetic_chunks(
-    marginals: Sequence[float], t: int, seed: int | np.random.SeedSequence
+def _drawn_ahead(
+    draw: Callable[[np.ndarray, np.ndarray], np.ndarray], t: int, n: int
 ) -> Iterator[np.ndarray]:
-    """The trials of ``synthetic_draw``, as (rows, N) uint8 arrays of
-    consecutive trials in the row chunks of ``row_chunks``.
+    """The ``row_chunks`` of t >= 1 trials of n qubits, each drawn on one
+    worker thread while the caller works on the chunk before.
 
-    ``cli`` draws the same chunks one ahead, on a worker thread.
+    ``draw(out, uniforms)`` fills the (rows, n) bool array ``out`` with the
+    next rows of its stream, using float scratch, and returns it as uint8.
+    The worker gets chunk k+1's array only once chunk k is handed over, so
+    it is never more than one chunk ahead.  What ``draw`` raises reaches
+    the caller in place of its chunk.  The worker is joined at the end, on
+    an error and on an early close.  The caller's thread allocates every
+    array: glibc keeps a thread's freed blocks in that thread's own malloc
+    arena, and chunks allocated on the worker cost about 2 MB of peak RSS.
     """
-    if t < 1:
-        raise ValueError(f"trial count must be >= 1, got {t}")
-    draw, n = synthetic_draw(marginals, seed), len(marginals)
-    return (
-        draw(np.empty((stop - start, n), dtype=bool), np.empty((stop - start) * n))
-        for start, stop in row_chunks(t, n)
-    )
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()  # arrays to fill; chunks
+    sizes = (stop - start for start, stop in row_chunks(t, n))
+    first = next(sizes)
+    todo.put(np.empty((first, n), dtype=bool))
+    uniforms = np.empty(first * n)  # the first chunk is the largest
+
+    def work() -> None:
+        while (out := todo.get()) is not None:  # None stops the worker
+            try:
+                done.put(draw(out, uniforms))
+            except BaseException as exc:  # raised again by the caller
+                done.put(exc)
+
+    worker = threading.Thread(target=work, name="cryoqaoa-draw")
+    worker.start()
+    try:
+        for rows in itertools.chain(sizes, [0]):
+            chunk = done.get()
+            if isinstance(chunk, BaseException):
+                raise chunk
+            if rows:
+                todo.put(np.empty((rows, n), dtype=bool))
+            yield chunk
+    finally:
+        todo.put(None)
+        worker.join()
 
 
 def synthetic_trials(

@@ -15,8 +15,8 @@ import cryoqaoa.cli as cli
 from cryoqaoa.cli import main
 from cryoqaoa.config import ScenarioConfig, load_scenario
 from cryoqaoa.counters import Flushes, Ledger
-from cryoqaoa.ising import CHUNK_CELLS, make_instance, pack_trials, trial_chunks
-from cryoqaoa.qaoa import synthetic_chunks, synthetic_draw, synthetic_trials
+from cryoqaoa.ising import CHUNK_CELLS, make_instance, pack_trials, row_chunks, trial_chunks
+from cryoqaoa.qaoa import _drawn_ahead, synthetic_chunks, synthetic_trials
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -239,8 +239,7 @@ class TestRun:
 
     def test_trace_rows_match_ledger_events(self, capsys, tmp_path):
         from cryoqaoa.counters import run_proposed
-        from cryoqaoa.ising import CHUNK_CELLS, worstcase_instance
-        from cryoqaoa.qaoa import synthetic_trials
+        from cryoqaoa.ising import worstcase_instance
 
         # path:40 at T = 10000 is streamed in two row chunks
         t, b = 10_000, 5
@@ -267,7 +266,7 @@ class TestRun:
         assert code == 0
         assert t * 40 > CHUNK_CELLS
         inst = worstcase_instance(40)
-        proposed = run_proposed(inst, synthetic_trials([0.3] * 40, t, 12), b)
+        proposed = run_proposed(inst, _whole_draw(0.3, t, 40, 12), b)
         expected = [
             f"{trial},{proposed.bits_log[trial - 1]},{i}-{j},msb{msb}"
             for trial, (i, j), msb in proposed.flush_events
@@ -469,12 +468,21 @@ class TestFlushRows:
         assert table.shape[1] == len(str(max(values)))
 
 
-class _CountingDraw:
-    """A ``qaoa.synthetic_draw`` that counts its calls and can raise on one;
-    the caller counts the chunks it has taken in ``taken``."""
+def _whole_draw(p, t, n, seed):
+    """The synthetic source's trials as one whole (t, n) draw, the oracle
+    of its chunks."""
+    return (np.random.default_rng(seed).random((t, n)) < p).view(np.uint8)
 
-    def __init__(self, n, seed, fail_at=None):
-        self.draw = synthetic_draw([0.5] * n, seed)
+
+class _CountingDraw:
+    """A draw for ``qaoa._drawn_ahead`` that counts its calls and can raise
+    on one: the Bernoulli(p) rows of one generator stream, drawn as
+    ``synthetic_chunks`` draws them.  The caller counts the chunks it has
+    taken in ``taken``."""
+
+    def __init__(self, seed, p=0.5, fail_at=None):
+        self.rng = np.random.default_rng(seed)
+        self.p = p
         self.calls = 0
         self.taken = 0
         self.fail_at = fail_at
@@ -483,7 +491,8 @@ class _CountingDraw:
         self.calls += 1
         if self.calls == self.fail_at:
             raise RuntimeError(f"chunk {self.calls} failed")
-        return self.draw(out, uniforms)
+        u = self.rng.random(out=uniforms[: out.size].reshape(out.shape))
+        return np.less(u, self.p, out=out).view(np.uint8)
 
 
 def _draw_workers():
@@ -491,7 +500,8 @@ def _draw_workers():
 
 
 class TestDrawnAhead:
-    """``cli._drawn_ahead``: the synthetic chunks, one worker, one chunk ahead."""
+    """The synthetic source of ``run`` (``qaoa.synthetic_chunks``): one
+    worker draws one chunk ahead; ``qaoa._drawn_ahead`` is its seam."""
 
     @pytest.fixture(autouse=True)
     def deadline(self):
@@ -509,18 +519,23 @@ class TestDrawnAhead:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
-    @pytest.mark.parametrize("n, t", [(750, 1), (750, 1003), (40, 10_000), (5, 77)])
+    @pytest.mark.parametrize(
+        "n, t",
+        [(750, 1), (750, 1003), (40, 10_000), (5, 77)]
+        + [(n, t) for n in (1, 5, 750) for t in (7, 344, 345, 1000, 10_000)],
+    )
     def test_chunks_equal_serial_draw(self, n, t):
-        drawn = [c.copy() for c in cli._drawn_ahead(synthetic_draw([0.3] * n, 9), t, n)]
-        serial = list(synthetic_chunks([0.3] * n, t, 9))
-        assert [c.shape for c in drawn] == [c.shape for c in serial]
-        assert all(a.dtype == np.uint8 and np.array_equal(a, b) for a, b in zip(drawn, serial))
+        drawn = list(synthetic_chunks([0.3] * n, t, 9))
+        whole = _whole_draw(0.3, t, n, 9)
+        assert [len(c) for c in drawn] == [stop - start for start, stop in row_chunks(t, n)]
+        assert all(c.dtype == np.uint8 for c in drawn)
+        assert np.array_equal(np.concatenate(drawn), whole)
         assert not _draw_workers()
 
     def test_never_more_than_one_chunk_ahead(self):
         n, t = 750, 3000  # 9 chunks
-        draw = _CountingDraw(n, 1)
-        for _ in cli._drawn_ahead(draw, t, n):
+        draw = _CountingDraw(1)
+        for _ in _drawn_ahead(draw, t, n):
             draw.taken += 1
             time.sleep(0.005)  # time for a worker that ran ahead to do so
             assert draw.calls <= draw.taken + 1
@@ -529,8 +544,8 @@ class TestDrawnAhead:
 
     def test_early_close_joins_worker(self):
         n, t = 750, 3000
-        draw = _CountingDraw(n, 1)
-        chunks = cli._drawn_ahead(draw, t, n)
+        draw = _CountingDraw(1)
+        chunks = _drawn_ahead(draw, t, n)
         for _ in range(2):
             next(chunks)
             draw.taken += 1
@@ -543,14 +558,13 @@ class TestDrawnAhead:
         # four passes at once, each with its own worker: eight threads on
         # fewer cores, switching every microsecond
         n, t = 750, 3440  # 10 chunks
-        serial = np.concatenate(list(synthetic_chunks([0.4] * n, t, 5)))
+        whole = _whole_draw(0.4, t, n, 5)
         results = {}
 
         def run_pass(k):
-            draw = _CountingDraw(n, 5)
-            draw.draw = synthetic_draw([0.4] * n, 5)
+            draw = _CountingDraw(5, p=0.4)
             chunks, ahead = [], 0
-            for chunk in cli._drawn_ahead(draw, t, n):
+            for chunk in _drawn_ahead(draw, t, n):
                 draw.taken += 1
                 ahead = max(ahead, draw.calls - draw.taken)
                 chunks.append(chunk)
@@ -569,18 +583,26 @@ class TestDrawnAhead:
         assert not any(thread.is_alive() for thread in passes)
         assert sorted(results) == [0, 1, 2, 3]
         for trials, calls, taken, ahead in results.values():
-            assert np.array_equal(trials, serial)
+            assert np.array_equal(trials, whole)
             assert calls == taken == 10 and ahead <= 1
 
     def test_draw_error_surfaces_with_worker_joined(self):
         n, t = 750, 3000
-        draw = _CountingDraw(n, 1, fail_at=3)
-        chunks = cli._drawn_ahead(draw, t, n)
+        draw = _CountingDraw(1, fail_at=3)
+        chunks = _drawn_ahead(draw, t, n)
         with pytest.raises(RuntimeError, match="chunk 3 failed"):
             for _ in chunks:
                 draw.taken += 1
         assert not _draw_workers()
         assert draw.taken == 2 and draw.calls == 3
+
+    @pytest.mark.parametrize(
+        "marginals, t", [([1.5], 5), ([0.5, -0.1], 5), ([0.5, np.nan], 5), ([], 5), ([0.5], 0)]
+    )
+    def test_bad_draw_raises_before_a_thread_starts(self, marginals, t):
+        with pytest.raises(ValueError):
+            synthetic_chunks(marginals, t, 0)
+        assert not _draw_workers()
 
 
 class TestRunKeys:
@@ -777,7 +799,18 @@ class TestAudit:
         assert "divergence_trial =" in text
         assert "[trials]" in text
 
-    def test_diverging_ledger_named_with_its_trial(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "skew, message",
+        [
+            ("bit-log entry changed", "at trial 3: trial 3: ledger sent 2 bits, bank 1"),
+            ("event dropped", "at trial 38: flush 11: ledger None, bank (39, 2, 0)"),
+            ("bit-log entry added", "at trial 41: trial 41: ledger sent 0 bits, bank None"),
+        ],
+        ids=["bit-log-entry-changed", "event-dropped", "bit-log-entry-added"],
+    )
+    def test_diverging_ledger_named_with_its_trial(
+        self, capsys, monkeypatch, tmp_path, skew, message
+    ):
         import dataclasses
 
         import cryoqaoa.audit as audit
@@ -786,9 +819,13 @@ class TestAudit:
 
         def skewed(*args, **kwargs):
             result = real(*args, **kwargs)
+            if skew == "event dropped":
+                return dataclasses.replace(result, flush_events=result.flush_events[:-1])
             log = list(result.bits_log)
-            k = min(3, len(log) - 1)
-            log[k] += 1
+            if skew == "bit-log entry added":
+                log.append(0)
+            else:
+                log[min(3, len(log) - 1)] += 1
             return dataclasses.replace(result, bits_log=tuple(log))
 
         monkeypatch.setattr(audit, "run_proposed", skewed)
@@ -797,7 +834,29 @@ class TestAudit:
             capsys, "audit", "--cases", "5", "--seed", "2", "--counterexample", str(dump)
         )
         assert code == 1
-        assert "invariant violation [ledger] at trial 3: trial 3: ledger sent 2 bits" in err
+        assert err.splitlines()[0] == f"invariant violation [ledger] {message}"
+        assert "kind = ledger" in dump.read_text()
+
+    def test_each_case_packs_its_trials_once(self, monkeypatch):
+        import cryoqaoa.audit as audit
+        import cryoqaoa.counters as counters
+        import cryoqaoa.ising as ising
+
+        calls = []
+        real = ising.pack_trials
+
+        def counted(z):
+            calls.append(len(z))
+            return real(z)
+
+        for module in (ising, counters, audit):
+            if hasattr(module, "pack_trials"):
+                monkeypatch.setattr(module, "pack_trials", counted)
+        inst = make_instance("path:40")
+        trials = np.random.default_rng(3).integers(0, 2, size=(10_000, 40))
+        assert audit.check_case(inst, trials, 4) is None
+        assert calls == [stop - start for start, stop in row_chunks(10_000, 40)]
+        assert len(calls) == 2
 
     def test_exhaustive_small(self, capsys):
         code, out, _ = run_cli(

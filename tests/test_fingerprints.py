@@ -8,12 +8,12 @@ import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cryoqaoa.cli import build_parser, main
 from cryoqaoa.counters import run_proposed
 from cryoqaoa.ising import worstcase_instance
-from cryoqaoa.qaoa import synthetic_trials
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -69,7 +69,9 @@ def test_synthetic_trace_equals_ledger_events(capsys, tmp_path, op_seed):
     summary = worker.parse_summary(out)
     t, b = int(summary["trials"]), int(summary["counter_bits"])
     assert t == 10_000 and "--marginal" not in argv
-    proposed = run_proposed(worstcase_instance(750), synthetic_trials([0.5] * 750, t, op_seed), b)
+    # the trials of one whole draw, independent of the chunked source that `run` uses
+    trials = (np.random.default_rng(op_seed).random((t, 750)) < 0.5).view(np.uint8)
+    proposed = run_proposed(worstcase_instance(750), trials, b)
     rows = [out.splitlines()[0], "trial,bits_sent,entry_id,event"]
     rows += [
         f"{trial},{proposed.bits_log[trial - 1]},{i}-{j},msb{msb}"
