@@ -55,6 +55,7 @@ from .power import (
     cable_power,
     counter_power_per_entry_w,
     total_counter_power_w,
+    link_power,
     system_comparison,
 )
 

@@ -4,7 +4,10 @@ The baseline streams N measurement bits per circuit execution.  The
 counter-based readout streams one MSB per in-use counter entry every
 2^(b-1) trials, then collects the remaining b bits per entry once at the
 end over a collection window t_C.  All rates are bits per second;
-durations are nanoseconds.
+durations are nanoseconds.  ``bw_meas_bps``, ``bw_msb_bps`` and
+``clamp_width`` are array-valued: given numpy arrays they compute element
+by element with the same float operations, so ``power.link_power`` prices
+a whole qubit-count sweep in one call.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .timing import (
     _NS_PER_S,
@@ -47,19 +52,21 @@ def bw_inst_bps(
     return max(first, last)
 
 
-def bw_meas_bps(n: int, t_qc_ns: float) -> float:
+def bw_meas_bps(n: int | np.ndarray, t_qc_ns: float) -> float | np.ndarray:
     """Baseline readout rate: N bits per circuit execution."""
     if t_qc_ns <= 0:
         raise ValueError("circuit time must be positive")
     return n / t_qc_ns * _NS_PER_S
 
 
-def bw_msb_bps(m: int, b: int, t_qc_ns: float) -> float:
+def bw_msb_bps(
+    m: int | np.ndarray, b: int | np.ndarray, t_qc_ns: float
+) -> float | np.ndarray:
     """MSB stream rate: M bits per 2^(b-1) circuit executions."""
-    if b < 2:
-        raise ValueError(f"counter width must be >= 2, got {b}")
-    if m < 1:
-        raise ValueError(f"counters in use must be >= 1, got {m}")
+    if np.any(b < 2):
+        raise ValueError(f"counter width must be >= 2, got {np.min(b)}")
+    if np.any(m < 1):
+        raise ValueError(f"counters in use must be >= 1, got {np.min(m)}")
     if t_qc_ns <= 0:
         raise ValueError("circuit time must be positive")
     return m / ((1 << (b - 1)) * t_qc_ns) * _NS_PER_S
@@ -105,10 +112,15 @@ def choose_b(t: int, r: float) -> ChosenB:
     return ChosenB(b, True)
 
 
-def clamp_width(b: int) -> int:
+def clamp_width(b: int | np.ndarray) -> int | np.ndarray:
     """Narrowest usable counter is 2 bits: the MSB must be distinct from
-    the payload bits."""
-    return max(b, 2)
+    the payload bits.  An int stays an int."""
+    return _plain(np.maximum(b, 2))
+
+
+def _plain(value):
+    """A numpy scalar as the Python number it holds; arrays pass through."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def resolve_width(counter_bits: int | str, t: int, r: float) -> ChosenB:

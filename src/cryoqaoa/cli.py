@@ -16,16 +16,25 @@ which packs each chunk once for the sampled energy and the ledger.  The
 synthetic source (``qaoa.synthetic_chunks``) draws chunk k+1 on a worker
 thread while the pass packs, counts, feeds the ledger and traces chunk k.
 The ``--trace`` rows of a chunk are formatted together as one byte table.
+
+Output is written line by line as it is produced.  ``fig5b`` prices its
+whole sweep in one ``power.system_comparison`` call, whose report fields
+are numpy columns, and formats the CSV rows from those columns a block of
+``_BLOCK_ROWS`` rows at a time: it holds the Python objects of one block
+at most, and never the whole file.  ``main`` builds the argument parser
+on its first call and keeps it; it dispatches to ``cmd_<command>`` by
+name at each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +50,7 @@ from .config import (
     load_scenario,
     resolved_items,
 )
-from .ising import IsingInstance, load_instance, make_instance
+from .ising import IsingInstance, load_instance, make_instance, physical_memory
 from .timing import ExecutionProfile
 
 
@@ -53,21 +62,35 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _emit(lines: Sequence[str], out: str | None, quiet: bool) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(lines: Iterable[str], out: str | None, quiet: bool) -> None:
+    """Write each line to ``out``, or to stdout, as it is produced."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as handle:
+            handle.writelines(f"{line}\n" for line in lines)
         if not quiet:
             print(f"wrote {out}")
 
 
-def _csv_lines(comment: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> list[str]:
-    lines = [comment, ",".join(header)]
+def _csv_lines(
+    comments: Sequence[str], header: Sequence[str], rows: Iterable[Sequence[Any]]
+) -> Iterator[str]:
+    yield from comments
+    yield ",".join(header)
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return lines
+        yield ",".join(map(_fmt, row))
+
+
+# Rows converted to Python numbers at a time by ``_column_rows``.
+_BLOCK_ROWS = 512
+
+
+def _column_rows(columns: Sequence[np.ndarray]) -> Iterator[tuple]:
+    """The rows of equal-length numpy columns as tuples of Python numbers,
+    converted ``_BLOCK_ROWS`` rows at a time."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield from zip(*(column[start : start + _BLOCK_ROWS].tolist() for column in columns))
 
 
 def _entry_id_str(entry_id) -> str:
@@ -301,21 +324,30 @@ def cmd_fig5a(args: argparse.Namespace) -> int:
         )
         for row in rows
     ]
-    _emit(_csv_lines(comment, header, table), args.out, args.quiet)
+    _emit(_csv_lines([comment], header, table), args.out, args.quiet)
     return 0
 
 
 def cmd_fig5b(args: argparse.Namespace) -> int:
     if args.n_max < args.n_min:
         raise ValueError(f"--n-max {args.n_max} below --n-min {args.n_min}")
+    if args.n_max > power.MAX_SWEEP_N:
+        raise ValueError(f"--n-max {args.n_max} above {power.MAX_SWEEP_N}")
+    count = args.n_max - args.n_min + 1
+    needed, memory = count * power.SWEEP_BYTES_PER_N, physical_memory()
+    if needed > memory:
+        raise ValueError(
+            f"--n-max {args.n_max}: a sweep of {count} qubit counts needs about {needed} "
+            f"bytes, more than physical memory ({memory} bytes)"
+        )
     comparison = power.system_comparison(
-        range(args.n_min, args.n_max + 1), b_policy=args.b_policy
+        np.arange(args.n_min, args.n_max + 1), b_policy=args.b_policy
     )
-    comment = (
+    comments = (
         f"# config: n_min={args.n_min} n_max={args.n_max} b_policy={args.b_policy} "
-        f"timings=paper-v1 cable=default sfq=default"
+        f"timings=paper-v1 cable=default sfq=default",
+        f"# crossover_n = {comparison.crossover_n}",
     )
-    crossover_line = f"# crossover_n = {comparison.crossover_n}"
     header = [
         "N",
         "bw_baseline_bps",
@@ -325,21 +357,17 @@ def cmd_fig5b(args: argparse.Namespace) -> int:
         "power_baseline_mw",
         "power_proposed_mw",
     ]
-    table = [
-        (
-            base.n_qubits,
-            base.bw_required_bps,
-            prop.bw_required_bps,
-            base.n_cables,
-            prop.n_cables,
-            base.total_mw,
-            prop.total_mw,
-        )
-        for base, prop in comparison.rows
-    ]
-    lines = _csv_lines(comment, header, table)
-    lines.insert(1, crossover_line)
-    _emit(lines, args.out, args.quiet)
+    base, prop = comparison.baseline, comparison.proposed
+    columns = (
+        base.n_qubits,
+        base.bw_required_bps,
+        prop.bw_required_bps,
+        base.n_cables,
+        prop.n_cables,
+        base.total_mw,
+        prop.total_mw,
+    )
+    _emit(_csv_lines(comments, header, _column_rows(columns)), args.out, args.quiet)
     if not args.quiet and args.out is not None:
         print(f"crossover_n = {comparison.crossover_n}")
     return 0
@@ -418,20 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     for key in _RUN_KEYS:
         p_run.add_argument("--" + key.replace("_", "-"), dest=key, type=_arg_type(_PARSERS[key]))
     p_run.add_argument("--trace", help="write per-event transfer CSV to this path")
-    p_run.set_defaults(func=cmd_run)
 
     # fig5a and fig5b ignore --seed; they take it so every call may end with one
     p_a = sub.add_parser("fig5a", parents=[output, seeded], help="bandwidth staircase sweep CSV")
     p_a.add_argument("--t-list", default="1e3,1e4,1e5,1e6,1e7")
     p_a.add_argument("--r-grid", default="0.001,0.002,0.005,0.01,0.02,0.05,0.1,0.2,0.5")
     p_a.add_argument("--n-qubits", dest="n_qubits", type=at_least(1), default=750)
-    p_a.set_defaults(func=cmd_fig5a)
 
     p_b = sub.add_parser("fig5b", parents=[output, seeded], help="power comparison sweep CSV")
     p_b.add_argument("--n-min", dest="n_min", type=at_least(2), default=2)
     p_b.add_argument("--n-max", dest="n_max", type=at_least(2), default=4096)
     p_b.add_argument("--b-policy", dest="b_policy", type=at_least(2, "log2"), default="log2")
-    p_b.set_defaults(func=cmd_fig5b)
 
     p_audit = sub.add_parser("audit", parents=[quiet, seeded], help="invariant suite")
     p_audit.add_argument("--cases", type=at_least(0), default=200)
@@ -442,15 +467,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--exhaustive", action="store_true")
     p_audit.add_argument("--inject", choices=["drop-msb"])
     p_audit.add_argument("--counterexample", help="violation dump path")
-    p_audit.set_defaults(func=cmd_audit)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # by name, so a wrapped cmd_* is the one run
     try:
-        return args.func(args)
+        return command(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

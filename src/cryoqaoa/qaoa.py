@@ -27,8 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import queue
 import threading
+from _queue import SimpleQueue  # queue.SimpleQueue, without importing queue
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -260,7 +260,7 @@ def _drawn_ahead(
     array: glibc keeps a thread's freed blocks in that thread's own malloc
     arena, and chunks allocated on the worker cost about 2 MB of peak RSS.
     """
-    todo, done = queue.SimpleQueue(), queue.SimpleQueue()  # arrays to fill; chunks
+    todo, done = SimpleQueue(), SimpleQueue()  # arrays to fill; chunks
     sizes = (stop - start for start, stop in row_chunks(t, n))
     first = next(sizes)
     todo.put(np.empty((first, n), dtype=bool))

@@ -1,9 +1,11 @@
+import math
 import os
 import signal
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,11 +14,13 @@ import pytest
 
 import cryoqaoa
 import cryoqaoa.cli as cli
-from cryoqaoa.cli import main
+from cryoqaoa import power
+from cryoqaoa.cli import build_parser, main
 from cryoqaoa.config import ScenarioConfig, load_scenario
 from cryoqaoa.counters import Flushes, Ledger
 from cryoqaoa.ising import CHUNK_CELLS, make_instance, pack_trials, row_chunks, trial_chunks
 from cryoqaoa.qaoa import _drawn_ahead, synthetic_chunks, synthetic_trials
+from cryoqaoa.timing import DEFAULT_TIMINGS, per_qubit_circuit_time_ns
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -692,6 +696,7 @@ def test_unread_option_is_usage_error(capsys, argv):
         (["fig5a", "--r-grid", "-1"], "--r-grid"),
         (["fig5a", "--r-grid", "0.05 nan"], "--r-grid"),
         (["fig5a", "--r-grid", "inf"], "--r-grid"),
+        (["fig5b", "--n-min", "3037000500", "--n-max", "3037000500"], "--n-max"),
     ],
 )
 def test_bad_option_exits_2_naming_flag(capsys, argv, flag):
@@ -767,6 +772,114 @@ class TestFig5b:
             "N,bw_baseline_bps,bw_proposed_bps,cables_baseline,"
             "cables_proposed,power_baseline_mw,power_proposed_mw"
         )
+
+    @pytest.mark.parametrize("b_policy", ["log2", "3", "7"])
+    @pytest.mark.parametrize(
+        "n_min, n_max", [(2, 1100), (700, 800), (2040, 2060), (65530, 66100)]
+    )
+    def test_output_equals_per_n_loop(self, capsys, tmp_path, n_min, n_max, b_policy):
+        # the ranges cross powers of two, the crossover and 512-row blocks
+        argv = ["fig5b", "--n-min", str(n_min), "--n-max", str(n_max), "--b-policy", b_policy]
+        expected = _fig5b_oracle(n_min, n_max, b_policy)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, expected)
+        path = tmp_path / "fig5b.csv"
+        assert main(argv + ["--out", str(path), "--quiet"]) == 0
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("n_max, bound", [(4096, 1e6), (65536, 12e6)])
+    def test_sweep_peak_is_its_columns(self, fig5b_peaks, n_max, bound):
+        # the per-N loop peaked at 54.8 MB at n_max 65536, on its row objects
+        # and the joined file
+        assert fig5b_peaks[n_max] < bound
+
+    def test_sweep_peak_within_guard_estimate(self, fig5b_peaks):
+        # the guard of cmd_fig5b prices a qubit count at this many bytes
+        assert fig5b_peaks[65536] / 65535 <= power.SWEEP_BYTES_PER_N
+
+    def test_sweep_beyond_memory_refused_before_allocating(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "physical_memory", lambda: power.SWEEP_BYTES_PER_N * 1000)
+        assert run_cli(capsys, "fig5b", "--n-max", "1001")[0] == 0  # 1000 qubit counts fit
+
+        def swept(*args, **kwargs):
+            raise AssertionError("the sweep was allocated")
+
+        monkeypatch.setattr(power, "system_comparison", swept)
+        code, out, err = run_cli(capsys, "fig5b", "--n-max", "1002")
+        assert (code, out) == (2, "")
+        assert "--n-max 1002: a sweep of 1001 qubit counts needs about 100100 bytes" in err
+
+
+@pytest.fixture(scope="module")
+def fig5b_peaks(tmp_path_factory):
+    """tracemalloc's peak over ``fig5b --n-max K --out PATH``, by K."""
+    path = tmp_path_factory.mktemp("fig5b") / "f.csv"
+    peaks = {}
+    for n_max in (4096, 65536):
+        tracemalloc.start()
+        try:
+            assert main(["fig5b", "--n-max", str(n_max), "--out", str(path), "--quiet"]) == 0
+            peaks[n_max] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    print(f"fig5b peak bytes by n_max: {peaks}")
+    return peaks
+
+
+def _fig5b_oracle(n_min, n_max, b_policy):
+    """``fig5b``'s output by the per-N loop that it used to run: scalar
+    formulas, one row tuple per N, the lines joined at the end."""
+    t_qc = per_qubit_circuit_time_ns(DEFAULT_TIMINGS)
+    cable, sfq = power.DEFAULT_CABLE, power.DEFAULT_SFQ
+    per_cable = cable.heat_inflow_mw + cable.amp_power_mw
+    rows, crossover = [], None
+    for n in range(n_min, n_max + 1):
+        bw_base = n / t_qc * 1e9
+        cables_base = max(1, math.ceil(bw_base / cable.capacity_bps - 1e-12))
+        b = max((n - 1).bit_length() if b_policy == "log2" else int(b_policy), 2)
+        bw_prop = (n - 1) / ((1 << (b - 1)) * t_qc) * 1e9
+        cables_prop = max(1, math.ceil(bw_prop / cable.capacity_bps - 1e-12))
+        entry_w = (sfq.i_fixed_a + b * sfq.i_per_bit_a) * sfq.freq_hz * sfq.phi0_wb * 2
+        total_prop = cables_prop * per_cable + n * (n + 1) // 2 * entry_w * 1e3
+        total_base = cables_base * per_cable
+        rows.append((n, bw_base, bw_prop, cables_base, cables_prop, total_base, total_prop))
+        if crossover is None and total_prop < total_base:
+            crossover = n
+    lines = [
+        f"# config: n_min={n_min} n_max={n_max} b_policy={b_policy} "
+        "timings=paper-v1 cable=default sfq=default",
+        f"# crossover_n = {crossover}",
+        "N,bw_baseline_bps,bw_proposed_bps,cables_baseline,"
+        "cables_proposed,power_baseline_mw,power_proposed_mw",
+    ]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestMain:
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["fig5b", "--n-max", "8"], ["fig5a", "--t-list", "1e3"], ["fig5b"]):
+                assert main(argv) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_command_looked_up_at_call_time(self, capsys, monkeypatch):
+        assert main(["fig5a", "--t-list", "1e3"]) == 0  # the parser exists before the patch
+        seen = []
+        monkeypatch.setattr(cli, "cmd_fig5a", lambda args: seen.append(args.t_list) or 7)
+        assert main(["fig5a", "--t-list", "1e4"]) == 7
+        assert seen == ["1e4"]
 
 
 class TestAudit:
