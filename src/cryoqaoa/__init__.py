@@ -39,10 +39,9 @@ from .bandwidth import (
 )
 from .counters import (
     CounterBank,
-    CounterEntry,
     RoomTempAccumulator,
     ReadoutEvent,
-    readout_entry,
+    readout,
     collect_non_msbs,
     counter_energy_estimate,
     run_baseline,

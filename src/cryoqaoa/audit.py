@@ -1,12 +1,13 @@
 """Randomized and bounded-exhaustive invariant checks for the counter path.
 
-Each case drives a counter bank trial by trial next to an independent
-running tally (a cumulative sum of the audit's own unpacked hit rule, which
-shares nothing with the packed production path) and checks, at every
-trial boundary:
+Each case steps a counter bank trial by trial, keeping what it sent and
+held after each trial, and finds with one array comparison against an
+independent running tally (a cumulative sum of the audit's own unpacked
+hit rule, which shares nothing with the packed production path) the first
+trial boundary that breaks
 
+  * smoothing: bits sent this trial <= ceil(M / 2^(b-1)) (reported first),
   * reconstruction: warm units * 2^(b-1) + cold value == true tally,
-  * smoothing: bits sent this trial <= ceil(M / 2^(b-1)),
 
 then at the end: every sliding 2^(b-1)-trial window carried exactly M
 bits, collected totals match the tally, and readout round-trips.  The
@@ -31,12 +32,11 @@ import numpy as np
 
 from .counters import (
     CounterBank,
-    CounterEntry,
     EntryId,
     RoomTempAccumulator,
     collect_non_msbs,
     counter_energy_estimate,
-    readout_entry,
+    readout,
     run_proposed,
 )
 from .ising import IsingInstance, Trials, format_bits, trial_array
@@ -60,13 +60,12 @@ class AuditResult:
 
 
 def _entry_hits(entry_order: Sequence[EntryId], z: np.ndarray) -> np.ndarray:
-    """(T, M) hit matrix of a (T, N) trial array, one column per entry: a
-    qubit entry is hit where its bit is set, a pair entry where its two
-    bits differ."""
-    columns = [
-        z[:, e[0]] != z[:, e[1]] if isinstance(e, tuple) else z[:, e] != 0 for e in entry_order
-    ]
-    return np.stack(columns, axis=1) if columns else np.zeros((len(z), 0), dtype=bool)
+    """(T, M) hit matrix of a (T, N) trial array, one column per entry of a
+    singles-then-pairs order: a qubit entry is hit where its bit is set, a
+    pair entry where its two bits differ."""
+    singles = np.array([e for e in entry_order if not isinstance(e, tuple)], dtype=np.intp)
+    pairs = np.array([e for e in entry_order if isinstance(e, tuple)], dtype=np.intp).reshape(-1, 2)
+    return np.concatenate((z[:, singles] != 0, z[:, pairs[:, 0]] != z[:, pairs[:, 1]]), axis=1)
 
 
 def check_case(
@@ -84,32 +83,37 @@ def check_case(
     violation = functools.partial(AuditViolation, instance=instance, trials=z, width_b=width_b)
     bank = CounterBank.for_instance(instance, width_b, fault=fault)
     bank.event_log = []
-    accumulator = RoomTempAccumulator()
+    accumulator = RoomTempAccumulator(bank.entry_order)
     entry_order, window, m = bank.entry_order, bank.flush_window, bank.m_in_use
     max_slice = -(-m // window)
-    # tallies[t][k]: the direct tally of entry k after trials 0..t
-    tallies = np.cumsum(_entry_hits(entry_order, z), axis=0).tolist()
-    bits_log: list[int] = []
-
-    for t_idx, row in enumerate(rows):
+    # tallies[t, k]: the direct tally of entry k after trials 0..t
+    tallies = np.cumsum(_entry_hits(entry_order, z), axis=0)
+    bits_log, cold, warm = [], [], []  # bits sent, cold values and warm units after each trial
+    for row in rows:
         bank.record_trial(row)
-        bits = bank.flush_msbs(accumulator)
-        bits_log.append(bits)
-        if bits > max_slice:
+        bits_log.append(bank.flush_msbs(accumulator))
+        cold.append(bank.values.copy())
+        warm.append(list(accumulator.upper_counts.values()))
+
+    # tallies are at most T, so a window above T stands in as T + 1 and fits int64
+    rebuilt = np.array(warm, dtype=np.int64) * min(window, len(rows) + 1) + np.array(cold)
+    off = rebuilt != tallies
+    failed = np.flatnonzero((np.array(bits_log) > max_slice) | off.any(axis=1))
+    if len(failed):
+        t_idx = int(failed[0])
+        if bits_log[t_idx] > max_slice:  # a trial that fails both reports smoothing
             return violation(
                 "smoothing",
-                f"trial {t_idx} sent {bits} bits, above ceil(M/2^(b-1)) = {max_slice}",
+                f"trial {t_idx} sent {bits_log[t_idx]} bits, above ceil(M/2^(b-1)) = {max_slice}",
                 t_idx,
             )
-        units = accumulator.upper_counts
-        got = [units.get(e, 0) * window + bank.entries[e].value for e in entry_order]
-        if mismatch := _first_mismatch(got, tallies[t_idx]):
-            k, ours, direct = mismatch
-            return violation(
-                "reconstruction",
-                f"entry {entry_order[k]}: warm+cold = {ours}, direct tally = {direct}",
-                t_idx,
-            )
+        k = int(np.flatnonzero(off[t_idx])[0])
+        ours = warm[t_idx][k] * window + cold[t_idx][k]
+        return violation(
+            "reconstruction",
+            f"entry {entry_order[k]}: warm+cold = {ours}, direct tally = {tallies[t_idx, k]}",
+            t_idx,
+        )
 
     if m > 0 and len(rows) >= window:
         prefix = np.cumsum([0, *bits_log])
@@ -125,7 +129,7 @@ def check_case(
 
     last = len(rows) - 1
     collection = collect_non_msbs(bank, accumulator)
-    for e, expected in zip(entry_order, tallies[-1]):
+    for e, expected in zip(entry_order, tallies[-1].tolist()):
         if collection.totals[e] != expected:
             return violation(
                 "collection",
@@ -167,16 +171,19 @@ def _first_mismatch(ours: Sequence, theirs: Sequence) -> tuple[int, Any, Any] | 
 
 
 def check_readout_roundtrip(b_values: Sequence[int]) -> AuditViolation | None:
+    """Every value v of each width b must come back from 2^b - v pulses."""
     for b in b_values:
-        entry = CounterEntry(b)
-        for v in range(1 << b):
-            entry.value = v
-            event = readout_entry(entry)
-            if event.recovered_value != v or event.pulse_count != (1 << b) - v:
+        # 4096 values per readout call: all 2^16 at once add 2 MB to an audit's peak RSS
+        for start in range(0, 1 << b, 4096):
+            values = np.arange(start, min(start + 4096, 1 << b))
+            event = readout(b, values)
+            bad = (event.recovered_value != values) | (event.pulse_count != (1 << b) - values)
+            if bad.any():
+                k = int(np.flatnonzero(bad)[0])
                 return AuditViolation(
                     kind="readout",
-                    message=f"b={b}, v={v}: recovered {event.recovered_value} "
-                    f"from {event.pulse_count} pulses",
+                    message=f"b={b}, v={values[k]}: recovered {event.recovered_value[k]} "
+                    f"from {event.pulse_count[k]} pulses",
                     trial_index=None,
                     instance=IsingInstance(1),
                     trials=(),

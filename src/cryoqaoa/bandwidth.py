@@ -80,8 +80,15 @@ def bw_non_msb_bps(m: int, b: int, t_c_ns: float) -> float:
 
 
 def min_collection_time_ns(b: int, t_qc_ns: float) -> float:
-    """Smallest t_C keeping the collection rate at or below the MSB rate."""
-    return b * (1 << (b - 1)) * t_qc_ns
+    """Smallest t_C keeping the collection rate at or below the MSB rate:
+    b * 2^(b-1) * t_QC.  Raises ValueError when it exceeds the float range."""
+    try:
+        return math.ldexp(b * t_qc_ns, b - 1)
+    except OverflowError:
+        raise ValueError(
+            f"counter_bits={b} is too wide: its collection window b*2^(b-1)*t_QC "
+            f"overflows a float at t_QC = {t_qc_ns} ns"
+        ) from None
 
 
 class ChosenB(NamedTuple):
@@ -123,14 +130,17 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def resolve_width(counter_bits: int | str, t: int, r: float) -> ChosenB:
+def resolve_width(counter_bits: int | str, t: int, r: float, t_qc_ns: float) -> ChosenB:
     """Counter width for a run and whether it fits the overhead budget.
 
     ``counter_bits`` is an explicit width or "auto" for the widest width
     that fits.  Feasibility is judged on the width actually used, so an
-    auto width clamped up to 2 can be infeasible.
+    auto width clamped up to 2 can be infeasible.  A width whose collection
+    window overflows a float at circuit time ``t_qc_ns`` raises ValueError.
     """
-    b = clamp_width(choose_b(t, r).b if counter_bits == "auto" else counter_bits)
+    b = choose_b(t, r).b if counter_bits == "auto" else counter_bits
+    min_collection_time_ns(b, t_qc_ns)  # before numpy sees a width beyond int64
+    b = clamp_width(b)
     return ChosenB(b, _fits_budget(b, t, r))
 
 

@@ -155,7 +155,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     t_qc_ns = profile.circuit_time_ns(timings)
 
     width_b, feasible = bandwidth.resolve_width(
-        config.counter_bits, config.trials, config.overhead_budget
+        config.counter_bits, config.trials, config.overhead_budget, t_qc_ns
     )
 
     config_comment = "# config: " + " ".join(

@@ -19,15 +19,16 @@ The model counts bits and trials only, not time: the schedule depends on
 the trial index alone.  Rates, circuit times and the collection window
 live in ``bandwidth``.
 
-Two implementations share these rules.  ``CounterBank`` steps the entries
-trial by trial; it is the reference model and the audit oracle, and holds
-the fault hooks and the pulse-stream readout.  ``Ledger``, the production
-path, derives the same transfers and residuals in closed form from each
-entry's running tally and never builds a bank.  It is fed the
-``pack_trials`` rows of one chunk of trials at a time (trial 8j + k in bit
-k of byte j), and keeps only per-entry state.  ``counter_pass`` is the one
-pass that feeds it: it packs each chunk once for the ledger and the sampled
-energy, for ``run`` and for ``run_proposed``, which also logs every transfer.
+Two implementations share these rules.  ``CounterBank`` steps one list of
+cold values trial by trial; it is the reference model and the audit oracle,
+and holds the fault hooks and, through ``readout``, the pulse stream.
+``Ledger``, the production path, derives the same transfers and residuals
+in closed form from each entry's running tally and never builds a bank.
+It is fed the ``pack_trials`` rows of one chunk of trials at a time (trial
+8j + k in bit k of byte j), and keeps only per-entry state.
+``counter_pass`` is the one pass that feeds it: it packs each chunk once
+for the ledger and the sampled energy, for ``run`` and for
+``run_proposed``, which also logs every transfer.
 """
 
 from __future__ import annotations
@@ -53,33 +54,20 @@ from .ising import (
 EntryId = int | tuple[int, int]
 
 
-@dataclass(slots=True)
-class CounterEntry:
-    """A b-bit cold-side counter value."""
-
-    width_b: int
-    value: int = 0
-
-    def __post_init__(self) -> None:
-        if self.width_b < 2:
-            raise ValueError(f"counter width must be >= 2, got {self.width_b}")
-        if not 0 <= self.value < (1 << self.width_b):
-            raise ValueError(f"value {self.value} out of range for {self.width_b} bits")
-
-
 @dataclass(frozen=True, slots=True)
 class ReadoutEvent:
-    """Residual readout of one entry: 2^b - v pulses recover v."""
+    """Residual readout of a value: 2^b - v pulses recover v."""
 
-    pulse_count: int
-    recovered_value: int
+    pulse_count: int | np.ndarray
+    recovered_value: int | np.ndarray
 
 
 class RoomTempAccumulator:
-    """Warm-side upper bits: one unit per received MSB, worth 2^(b-1) counts."""
+    """Warm-side upper bits: one unit per received MSB, worth 2^(b-1) counts,
+    seeded with 0 units per entry of ``entry_order`` in that order."""
 
-    def __init__(self) -> None:
-        self.upper_counts: dict[EntryId, int] = {}
+    def __init__(self, entry_order: Iterable[EntryId] = ()) -> None:
+        self.upper_counts: dict[EntryId, int] = dict.fromkeys(entry_order, 0)
 
     def add_unit(self, entry_id: EntryId) -> None:
         self.upper_counts[entry_id] = self.upper_counts.get(entry_id, 0) + 1
@@ -88,6 +76,7 @@ class RoomTempAccumulator:
 class CounterBank:
     """Cold-side entries for the in-use terms plus the flush schedule state.
 
+    ``values[k]`` is the b-bit cold value of entry ``entry_order[k]``.
     ``fault`` is a test hook: "drop-msb" silently discards the first set
     MSB instead of crediting the accumulator, modeling a lost transfer.
     """
@@ -117,9 +106,12 @@ class CounterBank:
             if not 0 <= i < n_qubits or not 0 <= j < n_qubits:
                 raise ValueError(f"pair ({i}, {j}) out of range [0, {n_qubits})")
         self.entry_order: list[EntryId] = list(singles) + list(pairs)
-        self.entries: dict[EntryId, CounterEntry] = {
-            e: CounterEntry(width_b) for e in self.entry_order
-        }
+        self.m_in_use = len(self.entry_order)
+        self.flush_window = 1 << (width_b - 1)  # trials between flushes of one entry
+        self.values: list[int] = [0] * self.m_in_use
+        # the wiring: (position, qubit) and (position, qubit, qubit) of each entry
+        self._qubit_wires = list(enumerate(singles))
+        self._pair_wires = [(k, i, j) for k, (i, j) in enumerate(pairs, len(singles))]
         self.trial_index = 0
         self.fault = fault
         self._fault_pending = fault == "drop-msb"
@@ -135,15 +127,6 @@ class CounterBank:
         """Wire one entry per term of ``instance.terms``."""
         return cls(instance.n_qubits, width_b, *instance.terms, fault=fault)
 
-    @property
-    def m_in_use(self) -> int:
-        return len(self.entry_order)
-
-    @property
-    def flush_window(self) -> int:
-        """Trials between flushes of the same entry: 2^(b-1)."""
-        return 1 << (self.width_b - 1)
-
     def record_trial(self, z: BitString) -> None:
         """Apply one measured bitstring: +1 per set qubit entry, +1 per
         disagreeing pair entry.  Arithmetic is modular in [0, 2^b)."""
@@ -152,15 +135,13 @@ class CounterBank:
                 f"bitstring length {len(z)} does not match n_qubits {self.n_qubits}"
             )
         mask = (1 << self.width_b) - 1
-        entries = self.entries
-        for e in self.entry_order:
-            if isinstance(e, tuple):
-                hit = z[e[0]] != z[e[1]]
-            else:
-                hit = bool(z[e])
-            if hit:
-                entry = entries[e]
-                entry.value = (entry.value + 1) & mask
+        values = self.values
+        for k, i in self._qubit_wires:
+            if z[i]:
+                values[k] = (values[k] + 1) & mask
+        for k, i, j in self._pair_wires:
+            if z[i] != z[j]:
+                values[k] = (values[k] + 1) & mask
         self.trial_index += 1
 
     def flush_msbs(self, accumulator: RoomTempAccumulator) -> int:
@@ -171,39 +152,38 @@ class CounterBank:
         warm-side as one unit; an unset MSB still costs its send bit.
         """
         m = self.m_in_use
-        window = self.flush_window
+        half = self.flush_window
         if m == 0:
             return 0
-        target = self.trial_index * m // window
+        target = self.trial_index * m // half
         bits = target - self._slots_issued
-        half = window
         for _ in range(bits):
-            e = self.entry_order[self._cursor]
-            entry = self.entries[e]
-            msb = int(entry.value >= half)
+            k = self._cursor
+            e = self.entry_order[k]
+            msb = int(self.values[k] >= half)
             if msb:
-                entry.value -= half
+                self.values[k] -= half
                 if self._fault_pending:
                     self._fault_pending = False
                 else:
                     accumulator.add_unit(e)
             if self.event_log is not None:
                 self.event_log.append((self.trial_index, e, msb))
-            self._cursor = (self._cursor + 1) % m
+            self._cursor = (k + 1) % m
         self._slots_issued = target
         return bits
 
 
-def readout_entry(entry: CounterEntry) -> ReadoutEvent:
-    """Drain one entry through the read-out line.
+def readout(width_b: int, value: int | np.ndarray) -> ReadoutEvent:
+    """Drain a b-bit value through the read-out line.
 
-    Clocking the entry from value v until it overflows emits 2^b - v
+    Clocking the register from value v until it overflows emits 2^b - v
     pulses; the shared bit-parallel counter recovers v from the pulse
-    count.  v = 0 emits a full 2^b pulses.  The entry is left cleared.
+    count.  v = 0 emits a full 2^b pulses.  An int gives ints, an array of
+    values gives arrays.
     """
-    size = 1 << entry.width_b
-    pulse_count = size - entry.value
-    entry.value = 0
+    size = 1 << width_b
+    pulse_count = size - value
     return ReadoutEvent(pulse_count=pulse_count, recovered_value=size - pulse_count)
 
 
@@ -214,17 +194,15 @@ class CollectionResult:
 
 
 def collect_non_msbs(bank: CounterBank, accumulator: RoomTempAccumulator) -> CollectionResult:
-    """Read every in-use entry sequentially and reconstruct its tally.
-
-    totals[e] = warm-side units * 2^(b-1) + residual value.
-    """
+    """Read every in-use entry sequentially, clear it, and reconstruct its
+    tally: totals[e] = warm-side units * 2^(b-1) + residual value."""
     half = bank.flush_window
-    totals: dict[EntryId, int] = {}
-    events = []
-    for e in bank.entry_order:
-        event = readout_entry(bank.entries[e])
-        events.append(event)
-        totals[e] = accumulator.upper_counts.get(e, 0) * half + event.recovered_value
+    events = [readout(bank.width_b, v) for v in bank.values]
+    bank.values[:] = [0] * bank.m_in_use
+    totals = {
+        e: accumulator.upper_counts.get(e, 0) * half + event.recovered_value
+        for e, event in zip(bank.entry_order, events)
+    }
     return CollectionResult(totals=totals, events=tuple(events))
 
 
@@ -380,7 +358,7 @@ class Ledger:
 
     def collect(self) -> dict[EntryId, int]:
         """Every entry's tally: units * W plus the residual (C - units*W) mod
-        2^b that ``readout_entry`` recovers.  units*W never exceeds C, an
+        2^b that ``readout`` recovers.  units*W never exceeds C, an
         int64, so a window beyond int64 has 0 units."""
         top = np.iinfo(np.int64).max
         upper = self._units * min(self.window, top)

@@ -179,14 +179,17 @@ def test_criterion_6_smoothing(randomized_suite):
 
 @criterion(7, "readout pulse stream round-trips every value for widths 2..16")
 def test_criterion_7_readout_round_trip():
-    from cryoqaoa.counters import CounterEntry, readout_entry
+    from cryoqaoa.counters import readout
 
     for b in range(2, 17):
         size = 1 << b
-        for v in range(size):
-            event = readout_entry(CounterEntry(b, v))
-            assert event.pulse_count == size - v
-            assert event.recovered_value == v
+        values = np.arange(size)
+        event = readout(b, values)
+        np.testing.assert_array_equal(event.pulse_count, size - values)
+        np.testing.assert_array_equal(event.recovered_value, values)
+        for v in (0, 1, size // 2, size - 1):
+            event = readout(b, v)
+            assert (event.pulse_count, event.recovered_value) == (size - v, v)
 
 
 @criterion(8, "statevector norms, sampling distribution, and 2-node optimum")

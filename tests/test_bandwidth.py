@@ -87,6 +87,10 @@ class TestNonMsbBandwidth:
         t_c = min_collection_time_ns(b, t_qc)
         assert bw_non_msb_bps(m, b, t_c) == pytest.approx(bw_msb_bps(m, b, t_qc), rel=1e-12)
 
+    def test_window_is_b_times_msb_period(self):
+        for b in (2, 5, 64, 70, 1000, 1005):
+            assert min_collection_time_ns(b, 760.0) == b * (1 << (b - 1)) * 760.0
+
     def test_long_window_vanishes(self):
         assert bw_non_msb_bps(10, 3, 1e18) == pytest.approx(0, abs=1e-3)
 
@@ -204,16 +208,16 @@ class TestStaircaseSweep:
 
 class TestResolveWidth:
     def test_auto_width_from_budget(self):
-        assert resolve_width("auto", 1000, 0.05) == ChosenB(4, True)
+        assert resolve_width("auto", 1000, 0.05, 750.0) == ChosenB(4, True)
 
     def test_explicit_width_checked_against_budget(self):
-        assert resolve_width(4, 1000, 0.05) == ChosenB(4, True)
-        assert resolve_width(40, 100, 0.05) == ChosenB(40, False)
+        assert resolve_width(4, 1000, 0.05, 750.0) == ChosenB(4, True)
+        assert resolve_width(40, 100, 0.05, 750.0) == ChosenB(40, False)
 
     def test_auto_width_clamped_to_two_is_infeasible(self):
         # the budget only admits b = 1, which is too narrow to stream an MSB
         assert choose_b(1000, 0.002) == ChosenB(1, True)
-        assert resolve_width("auto", 1000, 0.002) == ChosenB(2, False)
+        assert resolve_width("auto", 1000, 0.002, 750.0) == ChosenB(2, False)
 
 
 class TestBandwidthReport:

@@ -127,6 +127,32 @@ class TestRun:
         assert code == 0
         assert summary_dict(out)["counter_bits_feasible"] == "false"
 
+    @pytest.mark.parametrize("width", ["1006", "1016", "2000", str(10**20), "file:2000"])
+    def test_over_wide_counter_bits_exit_2_before_any_trial(
+        self, capsys, monkeypatch, tmp_path, width
+    ):
+        # ring:4 has t_QC = 760 ns, so b = 1005 is the widest finite collection window
+        monkeypatch.setattr(cli, "_build_trials", lambda *args: pytest.fail("trials drawn"))
+        argv = ["run", "--generator", "ring:4", "--trials", "10", "--counter-bits", width]
+        if width.startswith("file:"):
+            width = width.removeprefix("file:")
+            path = tmp_path / "wide.scenario"
+            path.write_text(f"generator = ring:4\ntrials = 10\ncounter_bits = {width}\n")
+            argv = ["run", "--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: counter_bits={width} is too wide: its collection window "
+            "b*2^(b-1)*t_QC overflows a float at t_QC = 760.0 ns\n"
+        )
+
+    def test_widest_finite_counter_bits_still_run(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--generator", "ring:4", "--trials", "10", "--counter-bits", "1005"
+        )
+        assert code == 0
+        assert summary_dict(out)["t_c_ns"] == "1.3094692386701936e+308"
+
     def test_non_finite_coefficient_exits_2_with_line(self, capsys, tmp_path):
         path = tmp_path / "bad.instance"
         path.write_text("n = 2\n[pairs]\n0 1 = nan\n")

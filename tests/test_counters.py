@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from cryoqaoa.counters import (
     CounterBank,
-    CounterEntry,
     Ledger,
     RoomTempAccumulator,
     collect_non_msbs,
     counter_energy_estimate,
-    readout_entry,
+    readout,
     run_baseline,
     run_proposed,
 )
@@ -68,17 +67,6 @@ def assert_ledger_matches_bank(instance, trials, b):
     assert residuals == [event.recovered_value for event in collection.events]
 
 
-class TestCounterEntry:
-    def test_range_enforced(self):
-        with pytest.raises(ValueError, match="out of range"):
-            CounterEntry(3, 8)
-        with pytest.raises(ValueError, match="width"):
-            CounterEntry(1)
-
-    def test_holds_value(self):
-        assert CounterEntry(3, 7).value == 7
-
-
 class TestBankConstruction:
     def test_entry_order_and_counts(self):
         bank = CounterBank(4, 3, active_singles=[2, 0], active_pairs=[(3, 1), (0, 1)])
@@ -105,15 +93,15 @@ class TestRecordTrial:
     def test_all_zero_bitstring_changes_nothing(self):
         bank = CounterBank(3, 3, active_singles=[0, 1], active_pairs=[(0, 2)])
         bank.record_trial((0, 0, 0))
-        assert all(e.value == 0 for e in bank.entries.values())
+        assert bank.values == [0, 0, 0]
         assert bank.trial_index == 1
 
     def test_pair_counts_disagreement(self):
         bank = CounterBank(2, 3, active_pairs=[(0, 1)])
         bank.record_trial((1, 0))
-        assert bank.entries[(0, 1)].value == 1
+        assert bank.values == [1]
         bank.record_trial((1, 1))
-        assert bank.entries[(0, 1)].value == 1
+        assert bank.values == [1]
 
     def test_length_mismatch(self):
         bank = CounterBank(3, 3, active_singles=[0])
@@ -135,22 +123,31 @@ class TestRecordTrial:
 class TestFlush:
     def test_set_msb_cleared_and_credited(self):
         bank = CounterBank(2, 3, active_pairs=[(0, 1)])
-        bank.entries[(0, 1)].value = 7
+        bank.values[0] = 7
         bank.trial_index = 4  # this entry's flush slot (window = 4)
         acc = RoomTempAccumulator()
         bits = bank.flush_msbs(acc)
         assert bits == 1
-        assert bank.entries[(0, 1)].value == 3
+        assert bank.values == [3]
         assert acc.upper_counts[(0, 1)] == 1  # one unit worth 4 counts
 
     def test_clear_msb_sends_zero_bit(self):
         bank = CounterBank(2, 3, active_pairs=[(0, 1)])
-        bank.entries[(0, 1)].value = 2
+        bank.values[0] = 2
         bank.trial_index = 4
         acc = RoomTempAccumulator()
         assert bank.flush_msbs(acc) == 1
-        assert bank.entries[(0, 1)].value == 2
+        assert bank.values == [2]
         assert acc.upper_counts == {}
+
+    def test_seeded_accumulator_lists_units_in_entry_order(self):
+        bank = CounterBank(3, 2, active_singles=[2], active_pairs=[(0, 1)])
+        acc = RoomTempAccumulator(bank.entry_order)
+        assert acc.upper_counts == {2: 0, (0, 1): 0}
+        for _ in range(4):
+            bank.record_trial((1, 0, 0))
+            bank.flush_msbs(acc)
+        assert list(acc.upper_counts.items()) == [(2, 0), ((0, 1), 2)]
 
     def test_window_carries_exactly_m_bits(self):
         # M = 5 entries, b = 3: every 4-trial window moves exactly 5 bits
@@ -174,28 +171,42 @@ class TestFlush:
 
 class TestReadout:
     def test_known_values(self):
-        event = readout_entry(CounterEntry(3, 5))
+        event = readout(3, 5)
         assert event.pulse_count == 3
         assert event.recovered_value == 5
 
     def test_max_value_single_pulse(self):
-        event = readout_entry(CounterEntry(4, 15))
+        event = readout(4, 15)
         assert event.pulse_count == 1
 
     def test_zero_emits_full_stream(self):
-        event = readout_entry(CounterEntry(3, 0))
+        event = readout(3, 0)
         assert event.pulse_count == 8
         assert event.recovered_value == 0
 
     def test_entry_left_cleared(self):
-        entry = CounterEntry(5, 17)
-        readout_entry(entry)
-        assert entry.value == 0
+        bank = CounterBank(2, 5, active_singles=[0, 1], active_pairs=[(0, 1)])
+        for _ in range(17):
+            bank.record_trial((1, 0))
+        assert bank.values == [17, 0, 17]
+        result = collect_non_msbs(bank, RoomTempAccumulator())
+        assert bank.values == [0, 0, 0]
+        assert [event.recovered_value for event in result.events] == [17, 0, 17]
+        assert result.totals == {0: 17, 1: 0, (0, 1): 17}
+
+    def test_ints_give_ints_and_arrays_give_arrays(self):
+        event = readout(70, (1 << 70) - 1)
+        assert (type(event.pulse_count), type(event.recovered_value)) == (int, int)
+        assert event.pulse_count == 1
+        values = np.array([0, 1, 5, 7])
+        event = readout(3, values)
+        np.testing.assert_array_equal(event.pulse_count, [8, 7, 3, 1])
+        np.testing.assert_array_equal(event.recovered_value, values)
 
     @pytest.mark.parametrize("b", range(2, 13))
     def test_round_trip_exhaustive(self, b):
         for v in range(1 << b):
-            assert readout_entry(CounterEntry(b, v)).recovered_value == v
+            assert readout(b, v).recovered_value == v
 
     @pytest.mark.parametrize("b", range(13, 21))
     def test_round_trip_wide(self, b):
@@ -203,7 +214,7 @@ class TestReadout:
         values = {0, 1, (1 << b) - 1, 1 << (b - 1)}
         values.update(int(v) for v in rng.integers(0, 1 << b, 64))
         for v in values:
-            assert readout_entry(CounterEntry(b, v)).recovered_value == v
+            assert readout(b, v).recovered_value == v
 
 
 class TestCollection:
@@ -312,8 +323,7 @@ def test_reconstruction_exact_at_every_trial(case):
                 tally[e] += int(z[e[0]] != z[e[1]])
             else:
                 tally[e] += int(bool(z[e]))
-        for e, expected in tally.items():
-            cold = bank.entries[e].value
+        for cold, (e, expected) in zip(bank.values, tally.items()):
             assert cold < (1 << b)
             assert acc.upper_counts.get(e, 0) * window + cold == expected
 
@@ -397,7 +407,7 @@ def test_entry_below_half_after_its_own_flush(case):
         bank.record_trial(z)
         bank.flush_msbs(acc)
         for _, entry_id, _ in bank.event_log[seen:]:
-            assert bank.entries[entry_id].value < half
+            assert bank.values[bank.entry_order.index(entry_id)] < half
 
 
 @given(instance_and_trials())

@@ -80,3 +80,23 @@ def test_synthetic_trace_equals_ledger_events(capsys, tmp_path, op_seed):
     rows += [f"{t},{b},{i}-{j},readout" for i, j in proposed.totals]
     trace = Path(argv[argv.index("--trace") + 1]).read_bytes()
     assert trace == "".join(row + "\n" for row in rows).encode()
+
+
+@pytest.mark.parametrize("op_seed", [0, 3, 11])
+def test_audit_trial_count_replays_the_checked_trials(capsys, monkeypatch, op_seed):
+    # the benchmark reports `audit.trials_checked` from its own replay of the case draws
+    from cryoqaoa import audit
+
+    real = audit.check_case
+    checked = []
+
+    def counted(instance, trials, *args, **kwargs):
+        checked.append(len(trials))
+        return real(instance, trials, *args, **kwargs)
+
+    monkeypatch.setattr(audit, "check_case", counted)
+    argv = ["audit", "--cases", "200", "--seed", str(op_seed)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "audit ok: 200 cases, no violations\n"
+    assert len(checked) == 200
+    assert sum(checked) == worker.audit_trial_count(argv)
