@@ -3,21 +3,22 @@
 Each case steps a counter bank trial by trial, keeping what it sent and
 held after each trial, and finds with one array comparison against an
 independent running tally (a cumulative sum of the audit's own unpacked
-hit rule, which shares nothing with the packed production path) the first
-trial boundary that breaks
+hit rule, sharing only the term order with the packed production path)
+the first trial boundary that breaks
 
   * smoothing: bits sent this trial <= ceil(M / 2^(b-1)) (reported first),
   * reconstruction: warm units * 2^(b-1) + cold value == true tally,
 
 then at the end: every sliding 2^(b-1)-trial window carried exactly M
-bits, collected totals match the tally, and readout round-trips.  The
-production pass (``counters.counter_pass``, through ``run_proposed``) runs
-on the case's trial array as ``run`` runs it: its sampled energy must
-equal the bank's counter energy exactly, and its ledger must reproduce
-the bank's bit log, flush events and totals.  The first failing trial is
-reported and the failing prefix is kept as the counterexample (checks are
-per-trial, so the prefix up to the divergence is already minimal); past
-the end of a shorter log counts as a divergence.
+bits, collected totals (int64 arrays in ``IsingInstance.entries`` order)
+match the tally, and readout round-trips.  The production pass
+(``counters.counter_pass``, through ``run_proposed``) runs on the case's
+trial array as ``run`` runs it: its sampled energy must equal the bank's
+counter energy exactly, and its ledger must reproduce the bank's bit log,
+flush events and totals.  The first failing trial is reported and the
+failing prefix is kept as the counterexample (checks are per-trial, so
+the prefix up to the divergence is already minimal); past the end of a
+shorter log counts as a divergence.
 """
 
 from __future__ import annotations
@@ -32,14 +33,20 @@ import numpy as np
 
 from .counters import (
     CounterBank,
-    EntryId,
     RoomTempAccumulator,
     collect_non_msbs,
     counter_energy_estimate,
     readout,
     run_proposed,
 )
-from .ising import IsingInstance, Trials, format_bits, trial_array
+from .ising import IsingInstance, Trials, format_bits, term_indices, trial_array
+
+
+# Peak bytes of one case per trial per entry of the densest instance on n
+# qubits (n + n(n-1)/2 entries), trial draw included, by tracemalloc (CPython
+# 3.11, numpy 2.4, T = 20000, b = 2, which flushes most): 419 B at n = 1,
+# where the per-trial lists dominate, 162 B at n = 8 and 142 B at n = 16.
+CASE_BYTES_PER_CELL = 440
 
 
 @dataclass(frozen=True)
@@ -59,12 +66,11 @@ class AuditResult:
     violation: AuditViolation | None
 
 
-def _entry_hits(entry_order: Sequence[EntryId], z: np.ndarray) -> np.ndarray:
-    """(T, M) hit matrix of a (T, N) trial array, one column per entry of a
-    singles-then-pairs order: a qubit entry is hit where its bit is set, a
-    pair entry where its two bits differ."""
-    singles = np.array([e for e in entry_order if not isinstance(e, tuple)], dtype=np.intp)
-    pairs = np.array([e for e in entry_order if isinstance(e, tuple)], dtype=np.intp).reshape(-1, 2)
+def _entry_hits(instance: IsingInstance, z: np.ndarray) -> np.ndarray:
+    """(T, M) hit matrix of a (T, N) trial array, one column per entry of
+    ``instance.entries``: a qubit entry is hit where its bit is set, a pair
+    entry where its two bits differ."""
+    singles, pairs = term_indices(instance)
     return np.concatenate((z[:, singles] != 0, z[:, pairs[:, 0]] != z[:, pairs[:, 1]]), axis=1)
 
 
@@ -81,13 +87,13 @@ def check_case(
     rows = z.tolist()
     # violation(kind, message, trial_index)
     violation = functools.partial(AuditViolation, instance=instance, trials=z, width_b=width_b)
-    bank = CounterBank.for_instance(instance, width_b, fault=fault)
+    bank = CounterBank(instance, width_b, fault=fault)
     bank.event_log = []
     accumulator = RoomTempAccumulator(bank.entry_order)
     entry_order, window, m = bank.entry_order, bank.flush_window, bank.m_in_use
     max_slice = -(-m // window)
     # tallies[t, k]: the direct tally of entry k after trials 0..t
-    tallies = np.cumsum(_entry_hits(entry_order, z), axis=0)
+    tallies = np.cumsum(_entry_hits(instance, z), axis=0)
     bits_log, cold, warm = [], [], []  # bits sent, cold values and warm units after each trial
     for row in rows:
         bank.record_trial(row)
@@ -129,13 +135,11 @@ def check_case(
 
     last = len(rows) - 1
     collection = collect_non_msbs(bank, accumulator)
-    for e, expected in zip(entry_order, tallies[-1].tolist()):
-        if collection.totals[e] != expected:
-            return violation(
-                "collection",
-                f"entry {e}: collected {collection.totals[e]}, direct tally = {expected}",
-                last,
-            )
+    collected, expected = collection.totals, tallies[-1]
+    if len(off := np.flatnonzero(collected != expected)):
+        k = int(off[0])
+        message = f"entry {entry_order[k]}: collected {collected[k]}, direct tally = {expected[k]}"
+        return violation("collection", message, last)
 
     # the production pass: one packing per chunk for the sampled energy and the ledger
     ledger = run_proposed(instance, z, width_b)
@@ -154,7 +158,7 @@ def check_case(
         k, ours, theirs = mismatch
         trial = min(event[0] for event in (ours, theirs) if event is not None) - 1
         return violation("ledger", f"flush {k}: ledger {ours}, bank {theirs}", trial)
-    if ledger.totals != collection.totals:
+    if not np.array_equal(ledger.totals, collection.totals):
         return violation(
             "ledger", f"ledger totals {ledger.totals} != bank totals {collection.totals}", last
         )

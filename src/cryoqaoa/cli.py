@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-  run    end-to-end scenario: sample trials, drive baseline and counter
-         readout, report energies, bits, and bandwidths
+  run    end-to-end scenario: one pass of sampled trials gives the baseline
+         energy and the counter readout; reports energies, bits, bandwidths
   fig5a  staircase sweep of counter width / bandwidth ratio over (T, r)
   fig5b  baseline-vs-proposed power sweep over qubit counts, with crossover
   audit  randomized invariant suite with optional fault injection
@@ -164,7 +164,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     chunks = _build_trials(config, instance)
     with _replace_on_success(args.trace) as trace, closing(chunks):
         if trace is not None:
-            names = [_entry_id_str(e) for e in (*instance.terms[0], *instance.terms[1])]
+            names = [_entry_id_str(e) for e in instance.entries]
             tails = _row_tails(names)
             trace.write(f"{config_comment}\ntrial,bits_sent,entry_id,event\n".encode())
 
@@ -376,6 +376,14 @@ def cmd_fig5b(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     if args.b_max < args.b_min:
         raise ValueError(f"--b-max {args.b_max} below --b-min {args.b_min}")
+    # before run_audit's first draw, so a refused call draws nothing
+    cells = args.t_max * (args.n_max + args.n_max * (args.n_max - 1) // 2)
+    needed, memory = cells * audit_mod.CASE_BYTES_PER_CELL, physical_memory()
+    if needed > memory:
+        raise ValueError(
+            f"--t-max {args.t_max} at --n-max {args.n_max}: a case of up to {cells} trial-entry "
+            f"cells needs about {needed} bytes, more than physical memory ({memory} bytes)"
+        )
     result = audit_mod.run_audit(
         cases=args.cases,
         n_max=args.n_max,

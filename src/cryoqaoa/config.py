@@ -59,6 +59,12 @@ def _source(text: str) -> str:
     return text
 
 
+def _timings(text: str) -> str:
+    if text not in PRESETS:
+        raise ValueError(f"unknown timings preset {text!r}; choose from {sorted(PRESETS)}")
+    return text
+
+
 def _count(text: str) -> int:
     """An integer >= 1, also in float notation such as ``1e3``."""
     number = float(text)
@@ -108,10 +114,6 @@ class ScenarioConfig:
     base_dir: str = "."
 
     def gate_timings(self) -> GateTimings:
-        if self.timings not in PRESETS:
-            raise ValueError(
-                f"unknown timings preset {self.timings!r}; choose from {sorted(PRESETS)}"
-            )
         base = PRESETS[self.timings]
         overrides = {
             name: getattr(self, name)
@@ -134,7 +136,6 @@ class ScenarioConfig:
             raise ValueError("config needs an 'instance' path or a 'generator' spec")
         if len(self.gammas) != len(self.betas):
             raise ValueError("gammas and betas must have the same length")
-        self.gate_timings()
 
     def instance_path(self) -> Path | None:
         if self.instance is None:
@@ -150,7 +151,7 @@ class ScenarioConfig:
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "instance": str,
     "generator": str,
-    "timings": str,
+    "timings": _timings,
     "t_reset_ns": _nonnegative_float,
     "t_init_ns": _nonnegative_float,
     "t_rx_ns": _nonnegative_float,

@@ -19,6 +19,9 @@ The model counts bits and trials only, not time: the schedule depends on
 the trial index alone.  Rates, circuit times and the collection window
 live in ``bandwidth``.
 
+Both wire one entry per term of ``IsingInstance.entries``, and per-entry
+totals are int64 arrays in that order.
+
 Two implementations share these rules.  ``CounterBank`` steps one list of
 cold values trial by trial; it is the reference model and the audit oracle,
 and holds the fault hooks and, through ``readout``, the pulse stream.
@@ -41,6 +44,7 @@ import numpy as np
 from .ising import (
     BitString,
     Coeff,
+    EntryId,
     IsingInstance,
     Trials,
     chunked_energy,
@@ -50,8 +54,6 @@ from .ising import (
     term_indices,
     trial_chunks,
 )
-
-EntryId = int | tuple[int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,42 +76,26 @@ class RoomTempAccumulator:
 
 
 class CounterBank:
-    """Cold-side entries for the in-use terms plus the flush schedule state.
+    """Cold-side entries for ``instance.entries`` plus the flush schedule state.
 
     ``values[k]`` is the b-bit cold value of entry ``entry_order[k]``.
     ``fault`` is a test hook: "drop-msb" silently discards the first set
     MSB instead of crediting the accumulator, modeling a lost transfer.
     """
 
-    def __init__(
-        self,
-        n_qubits: int,
-        width_b: int,
-        active_singles: Iterable[int] = (),
-        active_pairs: Iterable[tuple[int, int]] = (),
-        fault: str | None = None,
-    ) -> None:
+    def __init__(self, instance: IsingInstance, width_b: int, fault: str | None = None) -> None:
         if width_b < 2:
             raise ValueError(f"counter width must be >= 2, got {width_b}")
         if fault not in (None, "drop-msb"):
             raise ValueError(f"unknown fault mode {fault!r}")
-        self.n_qubits = n_qubits
+        self.n_qubits = instance.n_qubits
         self.width_b = width_b
-        singles = sorted(set(active_singles))
-        pairs = sorted({(i, j) if i < j else (j, i) for i, j in active_pairs})
-        for i in singles:
-            if not 0 <= i < n_qubits:
-                raise ValueError(f"single index {i} out of range [0, {n_qubits})")
-        for i, j in pairs:
-            if i == j:
-                raise ValueError(f"pair ({i}, {j}) is a self-loop")
-            if not 0 <= i < n_qubits or not 0 <= j < n_qubits:
-                raise ValueError(f"pair ({i}, {j}) out of range [0, {n_qubits})")
-        self.entry_order: list[EntryId] = list(singles) + list(pairs)
+        self.entry_order = instance.entries
         self.m_in_use = len(self.entry_order)
         self.flush_window = 1 << (width_b - 1)  # trials between flushes of one entry
         self.values: list[int] = [0] * self.m_in_use
         # the wiring: (position, qubit) and (position, qubit, qubit) of each entry
+        singles, pairs = instance.terms
         self._qubit_wires = list(enumerate(singles))
         self._pair_wires = [(k, i, j) for k, (i, j) in enumerate(pairs, len(singles))]
         self.trial_index = 0
@@ -119,13 +105,6 @@ class CounterBank:
         self._cursor = 0
         # When set to a list, flush_msbs appends (trial, entry_id, msb_bit).
         self.event_log: list[tuple[int, EntryId, int]] | None = None
-
-    @classmethod
-    def for_instance(
-        cls, instance: IsingInstance, width_b: int, fault: str | None = None
-    ) -> "CounterBank":
-        """Wire one entry per term of ``instance.terms``."""
-        return cls(instance.n_qubits, width_b, *instance.terms, fault=fault)
 
     def record_trial(self, z: BitString) -> None:
         """Apply one measured bitstring: +1 per set qubit entry, +1 per
@@ -189,41 +168,36 @@ def readout(width_b: int, value: int | np.ndarray) -> ReadoutEvent:
 
 @dataclass(frozen=True)
 class CollectionResult:
-    totals: dict[EntryId, int]
+    totals: np.ndarray  # int64, one tally per entry, in entry order
     events: tuple[ReadoutEvent, ...]
 
 
 def collect_non_msbs(bank: CounterBank, accumulator: RoomTempAccumulator) -> CollectionResult:
     """Read every in-use entry sequentially, clear it, and reconstruct its
-    tally: totals[e] = warm-side units * 2^(b-1) + residual value."""
+    tally: totals[k] = warm-side units * 2^(b-1) + residual value of entry k."""
     half = bank.flush_window
     events = [readout(bank.width_b, v) for v in bank.values]
     bank.values[:] = [0] * bank.m_in_use
-    totals = {
-        e: accumulator.upper_counts.get(e, 0) * half + event.recovered_value
+    totals = [
+        accumulator.upper_counts.get(e, 0) * half + event.recovered_value
         for e, event in zip(bank.entry_order, events)
-    }
-    return CollectionResult(totals=totals, events=tuple(events))
+    ]
+    return CollectionResult(totals=np.array(totals, dtype=np.int64), events=tuple(events))
 
 
-def counter_energy_estimate(
-    instance: IsingInstance, totals: dict[EntryId, int], t: int
-) -> Coeff:
+def counter_energy_estimate(instance: IsingInstance, totals: np.ndarray, t: int) -> Coeff:
     """Energy from counter tallies: (sum_i s_i*C_i + sum_ij c_ij*C_ij) / T.
 
-    Exact Fraction for integer coefficients.  Every nonzero coefficient
-    must have a tally.  The sum is ``hit_energy``'s, so tallies equal to
-    the hit counts give the sampled energy exactly, whatever the
-    coefficient type.
+    ``totals`` is an int64 array of one tally per entry of
+    ``instance.entries``.  Exact Fraction for integer coefficients.  The
+    sum is ``hit_energy``'s, so tallies equal to the hit counts give the
+    sampled energy exactly, whatever the coefficient type.
     """
     if t < 1:
         raise ValueError(f"trial count must be >= 1, got {t}")
-    singles, pairs = instance.terms
-    try:
-        counts = [totals[e] for e in (*singles, *pairs)]
-    except KeyError as exc:
-        raise ValueError(f"no counter total for term {exc.args[0]}") from None
-    return hit_energy(instance, np.array(counts, dtype=np.int64), t)
+    if len(totals) != len(instance.entries):
+        raise ValueError(f"{len(totals)} counter totals for {len(instance.entries)} entries")
+    return hit_energy(instance, totals, t)
 
 
 @dataclass(frozen=True)
@@ -250,7 +224,7 @@ def run_baseline(instance: IsingInstance, trials: Trials) -> BaselineRun:
 class ProposedRun:
     energy: Coeff  # from the counter tallies
     sampled_energy: Coeff  # of the same pass
-    totals: dict[EntryId, int]
+    totals: np.ndarray  # int64, in entry order
     bits_log: tuple[int, ...]
     peak_bits_per_trial: int
     total_msb_bits: int
@@ -296,7 +270,8 @@ class Ledger:
     def __init__(self, instance: IsingInstance, width_b: int) -> None:
         if width_b < 2:
             raise ValueError(f"counter width must be >= 2, got {width_b}")
-        self.entry_order: list[EntryId] = [*instance.terms[0], *instance.terms[1]]
+        self.entry_order = instance.entries
+        self.m_in_use = len(self.entry_order)
         self._singles, self._pairs = term_indices(instance)
         self.width_b = width_b
         self.window = 1 << (width_b - 1)
@@ -304,10 +279,6 @@ class Ledger:
         self.peak_bits_per_trial = 0
         self._tally = np.zeros(self.m_in_use, dtype=np.int64)
         self._units = np.zeros(self.m_in_use, dtype=np.int64)
-
-    @property
-    def m_in_use(self) -> int:
-        return len(self.entry_order)
 
     @property
     def total_msb_bits(self) -> int:
@@ -356,14 +327,15 @@ class Ledger:
         self._units[entry[-m:]] = after[-m:]
         return Flushes(trial, entry, msb, bits)
 
-    def collect(self) -> dict[EntryId, int]:
-        """Every entry's tally: units * W plus the residual (C - units*W) mod
-        2^b that ``readout`` recovers.  units*W never exceeds C, an
-        int64, so a window beyond int64 has 0 units."""
+    def collect(self) -> np.ndarray:
+        """Every entry's tally, an int64 array in entry order: units * W plus
+        the residual (C - units*W) mod 2^b that ``readout`` recovers.
+        units*W never exceeds C, an int64, so a window beyond int64 has 0
+        units."""
         top = np.iinfo(np.int64).max
         upper = self._units * min(self.window, top)
         residual = (self._tally - upper) & min((1 << self.width_b) - 1, top)
-        return dict(zip(self.entry_order, (upper + residual).tolist()))
+        return upper + residual
 
 
 def counter_pass(
@@ -392,13 +364,12 @@ def run_proposed(
 ) -> ProposedRun:
     """``counter_pass`` over the ``trial_chunks`` of a nonempty trial array,
     logging every transfer, then collect and estimate."""
-    entry_order = [*instance.terms[0], *instance.terms[1]]
     bits_log: list[int] = []
     events: list[tuple[int, EntryId, int]] = []
 
     def log(flushes: Flushes, first: int) -> None:
         bits_log.extend(flushes.bits.tolist())
-        entries = [entry_order[e] for e in flushes.entry.tolist()]
+        entries = [instance.entries[e] for e in flushes.entry.tolist()]
         events.extend(zip(flushes.trial.tolist(), entries, flushes.msb.tolist()))
 
     sampled, ledger = counter_pass(instance, trial_chunks(trials, instance.n_qubits), width_b, log)

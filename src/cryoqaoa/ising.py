@@ -18,7 +18,9 @@ byte j.  Two counts read the packed rows without sharing a hit rule.
 n_i + n_j - 2 * n_ij times, from the ones of each qubit and of their AND;
 ``chunked_energy`` sums it into the sampled energy.  ``packed_hits``
 derives each term's hit row (a pair's is the XOR of its two qubit rows)
-for the counter ledger.
+for the counter ledger.  ``IsingInstance.entries`` is the one term order:
+of the counter entries and their int64 totals, the hit rows and counts,
+and the energy sums.
 
 For the statevector simulation, ``phase_costs`` gives the cost of every
 basis state at once, and ``IsingInstance.phase_levels`` caches its
@@ -39,6 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 Coeff = int | float | Fraction
+EntryId = int | tuple[int, int]  # a counter entry: a qubit index or a pair (i, j), i < j
 BitString = Sequence[int]
 Trials = np.ndarray | Sequence[BitString]
 
@@ -65,14 +68,10 @@ class IsingInstance:
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
         for i in self.linear:
-            if not 0 <= i < self.n_qubits:
-                raise ValueError(f"linear index {i} out of range [0, {self.n_qubits})")
+            _check_linear(i, self.n_qubits)
         canonical: dict[tuple[int, int], Coeff] = {}
         for (i, j), coeff in self.pairs.items():
-            if i == j:
-                raise ValueError(f"pair ({i}, {j}) is a self-loop")
-            if not (0 <= i < self.n_qubits and 0 <= j < self.n_qubits):
-                raise ValueError(f"pair ({i}, {j}) out of range [0, {self.n_qubits})")
+            _check_pair(i, j, self.n_qubits)
             key = (i, j) if i < j else (j, i)
             if key in canonical:
                 warnings.warn(f"duplicate pair {key}: replacing coefficient", stacklevel=3)
@@ -81,16 +80,19 @@ class IsingInstance:
 
     @cached_property
     def terms(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """The terms with a nonzero coefficient: linear indices ascending,
-        then pairs ascending.
-
-        This is the one term order of the package: the counter entries, the
-        ``packed_hits`` rows, the ``term_counts`` and the order of the
-        ``hit_energy`` sum.
-        """
+        """The terms with a nonzero coefficient, by kind: linear indices
+        ascending, then pairs ascending.  ``entries`` is the two in one."""
         singles = tuple(sorted(i for i, v in self.linear.items() if v != 0))
         pairs = tuple(sorted(p for p, v in self.pairs.items() if v != 0))
         return singles, pairs
+
+    @cached_property
+    def entries(self) -> tuple[EntryId, ...]:
+        """The one term order of the package, ``terms`` singles then pairs:
+        of the counter entries and their totals, the ``packed_hits`` rows,
+        the ``term_counts``, the ``--trace`` readout and the ``hit_energy`` sum."""
+        singles, pairs = self.terms
+        return (*singles, *pairs)
 
     @cached_property
     def phase_levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -125,6 +127,18 @@ class IsingInstance:
     def terms_in_use(self) -> int:
         """Counters needed to tally this instance: S + C."""
         return self.s_count + self.c_count
+
+
+def _check_linear(i: int, n: int) -> None:
+    if not 0 <= i < n:
+        raise ValueError(f"linear index {i} out of range [0, {n})")
+
+
+def _check_pair(i: int, j: int, n: int) -> None:
+    if i == j:
+        raise ValueError(f"pair ({i}, {j}) is a self-loop")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"pair ({i}, {j}) out of range [0, {n})")
 
 
 def cost(instance: IsingInstance, z: BitString) -> Coeff:
@@ -254,16 +268,15 @@ def term_counts(q: np.ndarray, singles: np.ndarray, pairs: np.ndarray) -> np.nda
 def hit_energy(instance: IsingInstance, counts: np.ndarray, t: int) -> Coeff:
     """Average cost of t trials from the hit count of every term.
 
-    ``counts`` holds one count per term of ``instance.terms``, in that
+    ``counts`` holds one count per entry of ``instance.entries``, in that
     order.  Sums coefficient * count with Python numbers in that order, so
     integer-coefficient instances yield an exact ``Fraction``, and two
     equal count vectors yield equal energies for any coefficient type.
     """
-    singles, pairs = instance.terms
-    coeffs = [*(instance.linear[i] for i in singles), *(instance.pairs[p] for p in pairs)]
+    coeffs = {**instance.linear, **instance.pairs}
     total: Coeff = 0
-    for coeff, count in zip(coeffs, counts.tolist()):
-        total = total + coeff * count
+    for entry, count in zip(instance.entries, counts.tolist()):
+        total = total + coeffs[entry] * count
     if isinstance(total, int):
         return Fraction(total, t)
     return total / t
@@ -302,13 +315,10 @@ def sampled_energy(instance: IsingInstance, trials: Trials) -> Coeff:
 def maxcut_instance(edges: Iterable[tuple[int, int]], n: int) -> IsingInstance:
     """Max-cut instance over ``edges``: c_ij = -1 per edge, no linear terms."""
     pairs: dict[tuple[int, int], Coeff] = {}
-    for i, j in edges:
-        if i == j:
-            raise ValueError(f"self-loop edge ({i}, {j}) not allowed")
-        key = (i, j) if i < j else (j, i)
-        if key in pairs:
-            warnings.warn(f"duplicate edge {key}: replacing coefficient", stacklevel=2)
-        pairs[key] = -1
+    for edge in edges:
+        if edge in pairs:
+            warnings.warn(f"duplicate edge {edge}: replacing coefficient", stacklevel=2)
+        pairs[edge] = -1
     return IsingInstance(n_qubits=n, pairs=pairs, label=f"maxcut-{n}")
 
 
@@ -419,7 +429,7 @@ def load_instance(path: str | Path) -> IsingInstance:
 
     Format: ``n = N`` (and optional ``label``) before any section, then
     ``[linear]`` with ``i = s_i`` lines and ``[pairs]`` with ``i j = c_ij``
-    lines.  ``#`` starts a comment.
+    lines.  ``#`` starts a comment.  Errors name the file and the line.
     """
     path = Path(path)
     n: int | None = None
@@ -436,6 +446,8 @@ def load_instance(path: str | Path) -> IsingInstance:
                 section = line[1:-1].strip().lower()
                 if section not in ("linear", "pairs"):
                     raise ValueError(f"unknown section [{section}]")
+                if n is None:
+                    raise ValueError(f"missing required 'n = N' line before [{section}]")
                 continue
             if "=" not in line:
                 raise ValueError(f"expected 'key = value', got {line!r}")
@@ -448,12 +460,15 @@ def load_instance(path: str | Path) -> IsingInstance:
                 else:
                     raise ValueError(f"unknown top-level key {key!r}")
             elif section == "linear":
-                linear[_parse_int(key, "linear index")] = _parse_coeff(value)
+                i = _parse_int(key, "linear index")
+                _check_linear(i, n)
+                linear[i] = _parse_coeff(value)
             else:
                 fields = key.split()
                 if len(fields) != 2:
                     raise ValueError(f"pair key must be 'i j', got {key!r}")
                 i, j = (_parse_int(f, "pair index") for f in fields)
+                _check_pair(i, j, n)
                 pairs[(i, j)] = _parse_coeff(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None

@@ -1,9 +1,13 @@
 """The audit's reports: pinned at a known injected fault, and the order in
 which the per-trial smoothing and reconstruction checks report."""
 
+import itertools
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from cryoqaoa.audit import check_case, run_audit, write_counterexample
+from cryoqaoa.audit import CASE_BYTES_PER_CELL, check_case, run_audit, write_counterexample
 from cryoqaoa.counters import CounterBank, RoomTempAccumulator
 from cryoqaoa.ising import IsingInstance
 
@@ -92,3 +96,22 @@ def test_widths_beyond_int64_check_clean(width_b):
     # 2^(b-1) itself leaves int64 from b = 65; the trial-boundary check stays exact
     instance = IsingInstance(3, linear={0: 1}, pairs={(0, 2): -1, (1, 2): 2})
     assert check_case(instance, [(1, 0, 1), (0, 1, 1), (1, 1, 0)] * 5, width_b) is None
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_case_peak_within_guard_estimate(n):
+    # the guard of cmd_audit prices a trial of one entry of the densest
+    # instance at CASE_BYTES_PER_CELL; b = 2 flushes the most
+    pairs = dict.fromkeys(itertools.combinations(range(n), 2), 1)
+    inst = IsingInstance(n, linear=dict.fromkeys(range(n), 1), pairs=pairs)
+    t = 2000
+    rng = np.random.default_rng(0)  # imports numpy.random, which is not per cell
+    tracemalloc.start()
+    try:
+        trials = rng.integers(0, 2, size=(t, n))
+        assert check_case(inst, trials, 2) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"audit case peak bytes per cell at n = {n}: {peak / (t * inst.terms_in_use):.1f}")
+    assert peak <= CASE_BYTES_PER_CELL * t * inst.terms_in_use

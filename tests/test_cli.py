@@ -153,6 +153,13 @@ class TestRun:
         assert code == 0
         assert summary_dict(out)["t_c_ns"] == "1.3094692386701936e+308"
 
+    def test_out_of_range_pair_exits_2_with_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.instance"
+        path.write_text("n = 4\n[pairs]\n0 1 = 1\n1 9 = 2\n")
+        code, _, err = run_cli(capsys, "run", "--instance", str(path))
+        assert code == 2
+        assert err == f"error: {path}:4: pair (1, 9) out of range [0, 4)\n"
+
     def test_non_finite_coefficient_exits_2_with_line(self, capsys, tmp_path):
         path = tmp_path / "bad.instance"
         path.write_text("n = 2\n[pairs]\n0 1 = nan\n")
@@ -301,7 +308,7 @@ class TestRun:
             f"{trial},{proposed.bits_log[trial - 1]},{i}-{j},msb{msb}"
             for trial, (i, j), msb in proposed.flush_events
         ]
-        expected += [f"{t},{b},{i}-{j},readout" for i, j in proposed.totals]
+        expected += [f"{t},{b},{i}-{j},readout" for i, j in inst.entries]
         assert trace.read_text().splitlines()[2:] == expected
 
     def test_failed_synthetic_run_joins_its_worker(self, capsys, monkeypatch, tmp_path):
@@ -723,6 +730,8 @@ def test_unread_option_is_usage_error(capsys, argv):
         (["fig5a", "--r-grid", "0.05 nan"], "--r-grid"),
         (["fig5a", "--r-grid", "inf"], "--r-grid"),
         (["fig5b", "--n-min", "3037000500", "--n-max", "3037000500"], "--n-max"),
+        (["audit", "--cases", "1", "--t-max", "100000000000000"], "--t-max"),
+        (["audit", "--cases", "0", "--n-max", "1000000000"], "--n-max"),
     ],
 )
 def test_bad_option_exits_2_naming_flag(capsys, argv, flag):
@@ -997,6 +1006,21 @@ class TestAudit:
         assert calls == [stop - start for start, stop in row_chunks(10_000, 40)]
         assert len(calls) == 2
 
+    def test_case_beyond_memory_refused_before_the_first_draw(self, capsys, monkeypatch):
+        import cryoqaoa.audit as audit
+
+        # default --n-max 8: a case holds up to 36 entries per trial
+        monkeypatch.setattr(cli, "physical_memory", lambda: audit.CASE_BYTES_PER_CELL * 36 * 100)
+        assert run_cli(capsys, "audit", "--cases", "3", "--t-max", "100")[0] == 0
+
+        def drawn(**kwargs):
+            raise AssertionError("run_audit was called")
+
+        monkeypatch.setattr(audit, "run_audit", drawn)
+        code, out, err = run_cli(capsys, "audit", "--cases", "3", "--t-max", "101")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --t-max 101 at --n-max 8: a case of up to 3636 ")
+
     def test_exhaustive_small(self, capsys):
         code, out, _ = run_cli(
             capsys, "audit", "--cases", "0", "--n-max", "2", "--exhaustive"
@@ -1045,7 +1069,6 @@ class TestConfigFile:
         "lines, message",
         [
             ("gammas = 0.1, 0.2\nbetas = 0.3\n", "same length"),
-            ("timings = paper-v9\n", "unknown timings preset"),
         ],
     )
     def test_cross_key_rule_via_cli_exits_2(self, capsys, tmp_path, lines, message):
@@ -1054,6 +1077,16 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "run", "--config", str(path))
         assert code == 2
         assert message in err
+
+    def test_unknown_timings_preset_reports_line(self, capsys, tmp_path):
+        path = tmp_path / "s.scenario"
+        path.write_text("generator = ring:6\nsource = synthetic\ntimings = paper-v9\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert err == (
+            f"error: {path}:3: bad value for 'timings': "
+            "unknown timings preset 'paper-v9'; choose from ['paper-v1']\n"
+        )
 
     def test_relative_instance_path_resolves_against_config(self, tmp_path):
         inst = tmp_path / "tiny.instance"

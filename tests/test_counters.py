@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cryoqaoa.audit import _entry_hits
+from cryoqaoa.cli import main
 from cryoqaoa.counters import (
     CounterBank,
     Ledger,
@@ -20,6 +22,7 @@ from cryoqaoa.ising import (
     CHUNK_CELLS,
     IsingInstance,
     hit_energy,
+    load_instance,
     pack_trials,
     sampled_energy,
     term_counts,
@@ -30,20 +33,17 @@ from cryoqaoa.qaoa import synthetic_trials
 
 
 def direct_tallies(instance, trials):
-    """Independent oracle: per-term tallies by plain iteration."""
-    tallies = {}
-    for i, v in instance.linear.items():
-        if v != 0:
-            tallies[i] = sum(1 for z in trials if z[i])
-    for (i, j), v in instance.pairs.items():
-        if v != 0:
-            tallies[(i, j)] = sum(1 for z in trials if z[i] != z[j])
-    return tallies
+    """Independent oracle: per-entry tallies by plain iteration, in the
+    order of ``instance.entries``."""
+    return [
+        sum(1 for z in trials if (z[e[0]] != z[e[1]] if isinstance(e, tuple) else z[e]))
+        for e in instance.entries
+    ]
 
 
 def drive_bank(instance, trials, b):
     """Reference run: step a CounterBank trial by trial, then collect."""
-    bank = CounterBank.for_instance(instance, b)
+    bank = CounterBank(instance, b)
     bank.event_log = []
     acc = RoomTempAccumulator()
     bits_log = []
@@ -59,52 +59,51 @@ def assert_ledger_matches_bank(instance, trials, b):
     bits_log, events, collection = drive_bank(instance, trials, b)
     assert result.bits_log == bits_log
     assert result.flush_events == events
-    assert result.totals == collection.totals
+    np.testing.assert_array_equal(result.totals, collection.totals)
     # the ledger's residual (total less its MSB units) is the bank's readout
     units = Counter(e for _, e, msb in result.flush_events if msb)
     window = 1 << (b - 1)
-    residuals = [result.totals[e] - units[e] * window for e in collection.totals]
+    totals = result.totals.tolist()
+    residuals = [total - units[e] * window for e, total in zip(instance.entries, totals)]
     assert residuals == [event.recovered_value for event in collection.events]
 
 
 class TestBankConstruction:
     def test_entry_order_and_counts(self):
-        bank = CounterBank(4, 3, active_singles=[2, 0], active_pairs=[(3, 1), (0, 1)])
-        assert bank.entry_order == [0, 2, (0, 1), (1, 3)]
+        inst = IsingInstance(4, linear={2: 1, 0: 1}, pairs={(3, 1): 1, (0, 1): 1})
+        bank = CounterBank(inst, 3)
+        assert bank.entry_order == (0, 2, (0, 1), (1, 3))
         assert bank.m_in_use == 4
 
     def test_from_instance_skips_zero_coefficients(self):
         inst = IsingInstance(3, linear={0: 0, 1: 2}, pairs={(0, 1): -1, (1, 2): 0})
-        bank = CounterBank.for_instance(inst, 4)
-        assert bank.entry_order == [1, (0, 1)]
+        bank = CounterBank(inst, 4)
+        assert bank.entry_order == (1, (0, 1))
 
     def test_validation(self):
+        # the instance checks its own indices (tests/test_ising.py TestValidation)
         with pytest.raises(ValueError, match="width"):
-            CounterBank(2, 1, active_singles=[0])
-        with pytest.raises(ValueError, match="out of range"):
-            CounterBank(2, 2, active_singles=[2])
-        with pytest.raises(ValueError, match="self-loop"):
-            CounterBank(2, 2, active_pairs=[(1, 1)])
+            CounterBank(IsingInstance(2, linear={0: 1}), 1)
         with pytest.raises(ValueError, match="fault"):
-            CounterBank(2, 2, fault="bitflip")
+            CounterBank(IsingInstance(2), 2, fault="bitflip")
 
 
 class TestRecordTrial:
     def test_all_zero_bitstring_changes_nothing(self):
-        bank = CounterBank(3, 3, active_singles=[0, 1], active_pairs=[(0, 2)])
+        bank = CounterBank(IsingInstance(3, linear={0: 1, 1: 1}, pairs={(0, 2): 1}), 3)
         bank.record_trial((0, 0, 0))
         assert bank.values == [0, 0, 0]
         assert bank.trial_index == 1
 
     def test_pair_counts_disagreement(self):
-        bank = CounterBank(2, 3, active_pairs=[(0, 1)])
+        bank = CounterBank(IsingInstance(2, pairs={(0, 1): 1}), 3)
         bank.record_trial((1, 0))
         assert bank.values == [1]
         bank.record_trial((1, 1))
         assert bank.values == [1]
 
     def test_length_mismatch(self):
-        bank = CounterBank(3, 3, active_singles=[0])
+        bank = CounterBank(IsingInstance(3, linear={0: 1}), 3)
         with pytest.raises(ValueError, match="length"):
             bank.record_trial((0, 1))
 
@@ -117,12 +116,12 @@ class TestRecordTrial:
         )
         trials = [tuple(int(b) for b in rng.integers(0, 2, 6)) for _ in range(300)]
         result = run_proposed(inst, trials, width_b=4)
-        assert result.totals == direct_tallies(inst, trials)
+        assert result.totals.tolist() == direct_tallies(inst, trials)
 
 
 class TestFlush:
     def test_set_msb_cleared_and_credited(self):
-        bank = CounterBank(2, 3, active_pairs=[(0, 1)])
+        bank = CounterBank(IsingInstance(2, pairs={(0, 1): 1}), 3)
         bank.values[0] = 7
         bank.trial_index = 4  # this entry's flush slot (window = 4)
         acc = RoomTempAccumulator()
@@ -132,7 +131,7 @@ class TestFlush:
         assert acc.upper_counts[(0, 1)] == 1  # one unit worth 4 counts
 
     def test_clear_msb_sends_zero_bit(self):
-        bank = CounterBank(2, 3, active_pairs=[(0, 1)])
+        bank = CounterBank(IsingInstance(2, pairs={(0, 1): 1}), 3)
         bank.values[0] = 2
         bank.trial_index = 4
         acc = RoomTempAccumulator()
@@ -141,7 +140,7 @@ class TestFlush:
         assert acc.upper_counts == {}
 
     def test_seeded_accumulator_lists_units_in_entry_order(self):
-        bank = CounterBank(3, 2, active_singles=[2], active_pairs=[(0, 1)])
+        bank = CounterBank(IsingInstance(3, linear={2: 1}, pairs={(0, 1): 1}), 2)
         acc = RoomTempAccumulator(bank.entry_order)
         assert acc.upper_counts == {2: 0, (0, 1): 0}
         for _ in range(4):
@@ -160,7 +159,7 @@ class TestFlush:
         assert result.peak_bits_per_trial <= math.ceil(5 / window)
 
     def test_idempotent_within_a_boundary(self):
-        bank = CounterBank(2, 2, active_singles=[0, 1])
+        bank = CounterBank(IsingInstance(2, linear={0: 1, 1: 1}), 2)
         acc = RoomTempAccumulator()
         bank.record_trial((1, 1))
         first = bank.flush_msbs(acc)
@@ -185,14 +184,15 @@ class TestReadout:
         assert event.recovered_value == 0
 
     def test_entry_left_cleared(self):
-        bank = CounterBank(2, 5, active_singles=[0, 1], active_pairs=[(0, 1)])
+        inst = IsingInstance(2, linear={0: 1, 1: 1}, pairs={(0, 1): 1})
+        bank = CounterBank(inst, 5)
         for _ in range(17):
             bank.record_trial((1, 0))
         assert bank.values == [17, 0, 17]
         result = collect_non_msbs(bank, RoomTempAccumulator())
         assert bank.values == [0, 0, 0]
         assert [event.recovered_value for event in result.events] == [17, 0, 17]
-        assert result.totals == {0: 17, 1: 0, (0, 1): 17}
+        assert result.totals.tolist() == [17, 0, 17]
 
     def test_ints_give_ints_and_arrays_give_arrays(self):
         event = readout(70, (1 << 70) - 1)
@@ -219,15 +219,15 @@ class TestReadout:
 
 class TestCollection:
     def test_no_trials_all_zero(self):
-        bank = CounterBank(3, 3, active_singles=[0, 1, 2])
+        bank = CounterBank(IsingInstance(3, linear={0: 1, 1: 1, 2: 1}), 3)
         result = collect_non_msbs(bank, RoomTempAccumulator())
-        assert set(result.totals.values()) == {0}
+        assert result.totals.tolist() == [0, 0, 0]
 
     def test_path_instance_matches_oracle(self):
         inst = worstcase_instance(5)
         trials = synthetic_trials([0.3, 0.7, 0.5, 0.2, 0.9], 200, seed=11)
         result = run_proposed(inst, trials, width_b=3)
-        assert result.totals == direct_tallies(inst, trials)
+        assert result.totals.tolist() == direct_tallies(inst, trials)
 
     def test_always_hit_entry_flushes_clean(self):
         # incremented every trial, T a multiple of the window: residual 0
@@ -243,7 +243,7 @@ class TestCollection:
 class TestEnergyEstimate:
     def test_zero_totals(self):
         inst = IsingInstance(3, pairs={(0, 1): 1, (1, 2): 1, (0, 2): 1})
-        totals = {(0, 1): 0, (1, 2): 0, (0, 2): 0}
+        totals = np.zeros(3, dtype=np.int64)
         assert counter_energy_estimate(inst, totals, 10) == 0
 
     def test_triangle_example(self):
@@ -254,14 +254,16 @@ class TestEnergyEstimate:
         assert result.energy == sampled_energy(inst, trials)
 
     def test_missing_entry_rejected(self):
-        inst = IsingInstance(2, pairs={(0, 1): 3})
-        with pytest.raises(ValueError, match="no counter total"):
-            counter_energy_estimate(inst, {}, 5)
+        # a totals array of the wrong length, which hit_energy's zip would truncate
+        inst = IsingInstance(2, linear={1: 1}, pairs={(0, 1): 3})
+        for length in (0, 1, 3):
+            with pytest.raises(ValueError, match=f"{length} counter totals for 2 entries"):
+                counter_energy_estimate(inst, np.zeros(length, dtype=np.int64), 5)
 
     def test_trial_count_validated(self):
         inst = IsingInstance(2, pairs={(0, 1): 3})
         with pytest.raises(ValueError, match="trial count"):
-            counter_energy_estimate(inst, {(0, 1): 0}, 0)
+            counter_energy_estimate(inst, np.zeros(1, dtype=np.int64), 0)
 
 
 class TestBaseline:
@@ -311,7 +313,7 @@ def test_counter_estimate_equals_sampled_energy(case):
 def test_reconstruction_exact_at_every_trial(case):
     """Warm units * 2^(b-1) + cold value equals the true tally throughout."""
     instance, trials, b = case
-    bank = CounterBank.for_instance(instance, b)
+    bank = CounterBank(instance, b)
     acc = RoomTempAccumulator()
     tally = {e: 0 for e in bank.entry_order}
     window = bank.flush_window
@@ -364,14 +366,14 @@ def test_uneven_slice_sizes_still_cover_every_entry():
     inst = IsingInstance(5, linear={i: 1 for i in range(5)})
     result = run_proposed(inst, [(1, 0, 1, 1, 0)] * 40, width_b=3)
     assert set(result.bits_log) == {1, 2}
-    assert result.totals == direct_tallies(inst, [(1, 0, 1, 1, 0)] * 40)
+    assert result.totals.tolist() == direct_tallies(inst, [(1, 0, 1, 1, 0)] * 40)
 
 
 def test_trial_count_not_divisible_by_window():
     inst = worstcase_instance(6)
     trials = synthetic_trials([0.6] * 6, 101, seed=9)  # 101 = 12*8 + 5
     result = run_proposed(inst, trials, width_b=4)
-    assert result.totals == direct_tallies(inst, trials)
+    assert result.totals.tolist() == direct_tallies(inst, trials)
     assert result.energy == sampled_energy(inst, trials)
 
 
@@ -398,7 +400,7 @@ def test_event_log_records_flushes():
 @settings(max_examples=60, deadline=None)
 def test_entry_below_half_after_its_own_flush(case):
     instance, trials, b = case
-    bank = CounterBank.for_instance(instance, b)
+    bank = CounterBank(instance, b)
     bank.event_log = []
     acc = RoomTempAccumulator()
     half = bank.flush_window
@@ -446,7 +448,7 @@ def test_ledger_fed_uneven_chunks_matches_whole_array(b):
     totals = ledger.collect()
     assert tuple(bits_log) == whole.bits_log
     assert tuple(events) == whole.flush_events
-    assert totals == whole.totals
+    np.testing.assert_array_equal(totals, whole.totals)
     assert (ledger.peak_bits_per_trial, ledger.total_msb_bits) == (
         whole.peak_bits_per_trial,
         whole.total_msb_bits,
@@ -469,7 +471,8 @@ def test_ledger_accepts_rows_and_arrays_alike():
     rows = [(1, 0, 1), (0, 1, 1), (1, 1, 0)]
     a = run_proposed(inst, rows, width_b=2)
     b = run_proposed(inst, np.array(rows, dtype=np.uint8), width_b=2)
-    assert (a.bits_log, a.flush_events, a.totals) == (b.bits_log, b.flush_events, b.totals)
+    assert (a.bits_log, a.flush_events) == (b.bits_log, b.flush_events)
+    np.testing.assert_array_equal(a.totals, b.totals)
     with pytest.raises(ValueError, match="n_qubits"):
         run_proposed(inst, [(1, 0)], width_b=2)
 
@@ -480,3 +483,26 @@ def test_ledger_width_beyond_int64():
     trials = [(1, 0, 1), (1, 1, 1), (0, 1, 0)]
     assert_ledger_matches_bank(inst, trials, 70)
     assert run_proposed(inst, trials, width_b=70).bits_log == (0, 0, 0)
+
+
+def test_every_consumer_follows_instance_entries(tmp_path):
+    # singles given unsorted, one zero coefficient of each kind, a pair given reversed
+    path = tmp_path / "order.instance"
+    path.write_text("n = 4\n[linear]\n3 = 1\n0 = 0\n1 = 2\n[pairs]\n2 1 = -1\n0 1 = 0\n0 2 = 3\n")
+    inst = load_instance(path)
+    assert inst.entries == (1, 3, (0, 2), (1, 2))
+    z = synthetic_trials([0.2, 0.5, 0.7, 0.4], 50, seed=3)
+    hits = np.stack([z[:, 1], z[:, 3], z[:, 0] ^ z[:, 2], z[:, 1] ^ z[:, 2]], axis=1) != 0
+
+    assert CounterBank(inst, 3).entry_order == inst.entries
+    assert Ledger(inst, 3).entry_order == inst.entries
+    totals = run_proposed(inst, z, width_b=3).totals
+    assert totals.dtype == np.int64
+    assert totals.tolist() == hits.sum(axis=0).tolist()
+    np.testing.assert_array_equal(_entry_hits(inst, z), hits)
+
+    trace = tmp_path / "order.csv"
+    argv = ["run", "--instance", str(path), "--trials", "50", "--counter-bits", "3"]
+    assert main([*argv, "--trace", str(trace), "--quiet"]) == 0
+    readout = trace.read_text().splitlines()[-4:]
+    assert readout == ["50,3,1,readout", "50,3,3,readout", "50,3,0-2,readout", "50,3,1-2,readout"]

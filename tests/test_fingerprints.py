@@ -71,13 +71,14 @@ def test_synthetic_trace_equals_ledger_events(capsys, tmp_path, op_seed):
     assert t == 10_000 and "--marginal" not in argv
     # the trials of one whole draw, independent of the chunked source that `run` uses
     trials = (np.random.default_rng(op_seed).random((t, 750)) < 0.5).view(np.uint8)
-    proposed = run_proposed(worstcase_instance(750), trials, b)
+    inst = worstcase_instance(750)
+    proposed = run_proposed(inst, trials, b)
     rows = [out.splitlines()[0], "trial,bits_sent,entry_id,event"]
     rows += [
         f"{trial},{proposed.bits_log[trial - 1]},{i}-{j},msb{msb}"
         for trial, (i, j), msb in proposed.flush_events
     ]
-    rows += [f"{t},{b},{i}-{j},readout" for i, j in proposed.totals]
+    rows += [f"{t},{b},{i}-{j},readout" for i, j in inst.entries]
     trace = Path(argv[argv.index("--trace") + 1]).read_bytes()
     assert trace == "".join(row + "\n" for row in rows).encode()
 

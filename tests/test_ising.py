@@ -165,8 +165,14 @@ class TestValidation:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             IsingInstance(2, linear={5: 1})
+        with pytest.raises(ValueError, match=r"linear index 2 out of range \[0, 2\)"):
+            IsingInstance(2, linear={2: 1})
         with pytest.raises(ValueError, match="out of range"):
             IsingInstance(2, pairs={(0, 3): 1})
+
+    def test_self_loop(self):
+        with pytest.raises(ValueError, match=r"pair \(1, 1\) is a self-loop"):
+            IsingInstance(2, pairs={(1, 1): 1})
 
     def test_pairs_canonicalized(self):
         inst = IsingInstance(3, pairs={(2, 0): 5})
@@ -309,8 +315,22 @@ class TestFiles:
             ("n = 2\n[pairs]\n0 1 = abc\n", 3),
             ("n = 2\n[pairs]\n0 1 = nan\n", 3),
             ("n = 2\n[linear]\n1 = -inf\n", 3),
+            ("n = 4\n[pairs]\n0 1 = 1\n1 9 = 2\n", 4),
+            ("n = 4\n[linear]\n0 = 1\n4 = 2\n", 4),
+            ("n = 4\n[pairs]\n0 1 = 1\n2 2 = 2\n", 4),
+            ("[pairs]\n0 1 = 1\n", 1),
         ],
-        ids=["no-equals", "bad-n", "bad-coeff", "nan-coeff", "inf-coeff"],
+        ids=[
+            "no-equals",
+            "bad-n",
+            "bad-coeff",
+            "nan-coeff",
+            "inf-coeff",
+            "pair-out-of-range",
+            "linear-out-of-range",
+            "self-loop",
+            "section-before-n",
+        ],
     )
     def test_parse_error_has_line_number(self, tmp_path, text, line):
         path = tmp_path / "bad.instance"
