@@ -204,7 +204,7 @@ def staircase_sweep(
 
 @dataclass(frozen=True)
 class BandwidthReport:
-    """All rates for one scenario at a resolved counter width."""
+    """All rates for one scenario at a resolved counter width, in ``run``'s order."""
 
     bw_inst_bps: float
     bw_meas_bps: float
@@ -212,8 +212,8 @@ class BandwidthReport:
     bw_non_msb_bps: float
     bw_proposed_bps: float
     reduction_ratio: float
-    t_c_ns: float
     overhead_factor: float
+    t_c_ns: float
 
 
 def bandwidth_report(
@@ -250,6 +250,6 @@ def bandwidth_report(
         bw_non_msb_bps=non_msb,
         bw_proposed_bps=proposed,
         reduction_ratio=proposed / meas,
-        t_c_ns=t_c_ns,
         overhead_factor=overhead_factor(trials, b),
+        t_c_ns=t_c_ns,
     )

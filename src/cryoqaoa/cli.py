@@ -11,10 +11,12 @@ Exit codes: 0 ok, 1 invariant violation, 2 usage or config error.
 Every CSV starts with a comment line recording the resolved configuration,
 then a header row; output is byte-stable for a fixed seed.
 
-``run`` streams its trials in row chunks through ``counters.counter_pass``,
-which packs each chunk once for the sampled energy and the ledger.  The
-synthetic source (``qaoa.synthetic_chunks``) draws chunk k+1 on a worker
-thread while the pass packs, counts, feeds the ledger and traces chunk k.
+``run`` is one call of ``run_scenario``, which returns the summary as a
+dict for ``cmd_run`` to format.  It streams its trials in row chunks
+through ``counters.counter_pass``, which packs each chunk once for the
+sampled energy and the ledger.  The synthetic source
+(``qaoa.synthetic_chunks``) draws chunk k+1 on a worker thread while the
+pass packs, counts, feeds the ledger and traces chunk k.
 The ``--trace`` rows of a chunk are formatted together as one byte table.
 
 Output is written line by line as it is produced.  ``fig5b`` prices its
@@ -32,7 +34,7 @@ import argparse
 import functools
 import sys
 from contextlib import closing, contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Sequence
 
@@ -99,53 +101,19 @@ def _entry_id_str(entry_id) -> str:
     return str(entry_id)
 
 
-def _resolve_instance(config: ScenarioConfig) -> IsingInstance:
-    path = config.instance_path()
-    if path is not None:
-        if not path.exists():
-            raise FileNotFoundError(f"instance file not found: {path}")
-        return load_instance(path)
-    assert config.generator is not None
-    return make_instance(config.generator)
+def _config_line(config: ScenarioConfig) -> str:
+    """The ``# config:`` line that heads the summary and the trace."""
+    return "# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in resolved_items(config))
 
 
-def _build_trials(config: ScenarioConfig, instance: IsingInstance) -> Iterator[np.ndarray]:
-    """Row chunks of the run's (T, N) uint8 trial matrix, drawn lazily.
+def run_scenario(
+    config: ScenarioConfig, instance: IsingInstance, trace: str | None = None
+) -> dict[str, Any]:
+    """Run one scenario point; its summary, keys in the order ``run`` prints.
 
-    The run holds one chunk of ``ising.row_chunks`` at a time, and so does
-    each evaluation of the optimizer, so nothing grows with T.  Synthetic
-    chunks are drawn one ahead on a worker thread; exact ones in turn.
+    One ``counters.counter_pass`` over lazily drawn trial chunks gives both
+    energies.  The ``--trace`` CSV, if asked for, appears once it completes.
     """
-    n = instance.n_qubits
-    source = config.source
-    if source == "auto":
-        source = "exact" if n <= config.statevector_limit else "synthetic"
-    if source == "synthetic":
-        return qaoa.synthetic_chunks((config.marginal,) * n, config.trials, config.seed)
-    params = qaoa.QaoaParams(config.gammas, config.betas)
-    if config.optimize_steps > 0:
-        params, _ = qaoa.optimize(
-            instance,
-            params,
-            trials_per_step=max(1, config.trials // 10),
-            steps=config.optimize_steps,
-            seed=config.seed,
-            max_qubits=config.statevector_limit,
-        )
-    state = qaoa.prepare_state(instance, params, max_qubits=config.statevector_limit)
-    return qaoa.sample_chunks(state, config.trials, config.seed)
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    config = load_scenario(args.config) if args.config else ScenarioConfig()
-    flags = {key: getattr(args, key) for key in _RUN_KEYS}
-    config = replace(config, **{key: v for key, v in flags.items() if v is not None})
-    if args.instance is not None:
-        config = replace(config, instance=args.instance, generator=None, base_dir=".")
-    elif args.generator is not None:
-        config = replace(config, generator=args.generator, instance=None)
-    config.validate()
-    instance = _resolve_instance(config)
     n = instance.n_qubits
     p = n if config.parallelism == "full" else int(config.parallelism)
     profile = ExecutionProfile(
@@ -153,33 +121,43 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     timings = config.gate_timings()
     t_qc_ns = profile.circuit_time_ns(timings)
-
     width_b, feasible = bandwidth.resolve_width(
         config.counter_bits, config.trials, config.overhead_budget, t_qc_ns
     )
 
-    config_comment = "# config: " + " ".join(
-        f"{k}={_fmt(v)}" for k, v in resolved_items(config)
-    )
-    chunks = _build_trials(config, instance)
-    with _replace_on_success(args.trace) as trace, closing(chunks):
-        if trace is not None:
+    if config.source == "synthetic" or (config.source == "auto" and n > config.statevector_limit):
+        chunks = qaoa.synthetic_chunks((config.marginal,) * n, config.trials, config.seed)
+    else:
+        params = qaoa.QaoaParams(config.gammas, config.betas)
+        if config.optimize_steps > 0:
+            params, _ = qaoa.optimize(
+                instance,
+                params,
+                trials_per_step=max(1, config.trials // 10),
+                steps=config.optimize_steps,
+                seed=config.seed,
+                max_qubits=config.statevector_limit,
+            )
+        state = qaoa.prepare_state(instance, params, max_qubits=config.statevector_limit)
+        chunks = qaoa.sample_chunks(state, config.trials, config.seed)
+
+    with _replace_on_success(trace) as handle, closing(chunks):
+        if handle is not None:
             names = [_entry_id_str(e) for e in instance.entries]
             tails = _row_tails(names)
-            trace.write(f"{config_comment}\ntrial,bits_sent,entry_id,event\n".encode())
+            handle.write(f"{_config_line(config)}\ntrial,bits_sent,entry_id,event\n".encode())
 
         def write_rows(flushes: counters.Flushes, first: int) -> None:
-            trace.write(_flush_rows(flushes, first, tails))
+            handle.write(_flush_rows(flushes, first, tails))
 
         baseline_energy, ledger = counters.counter_pass(
-            instance, chunks, width_b, None if trace is None else write_rows
+            instance, chunks, width_b, None if handle is None else write_rows
         )
         t = ledger.trial_count
-        if trace is not None:
-            trace.write("".join(f"{t},{width_b},{name},readout\n" for name in names).encode())
+        if handle is not None:
+            handle.write("".join(f"{t},{width_b},{name},readout\n" for name in names).encode())
 
     counter_energy = counters.counter_energy_estimate(instance, ledger.collect(), t)
-    energies_equal = baseline_energy == counter_energy
     report = bandwidth.bandwidth_report(
         timings,
         instance.s_count,
@@ -191,44 +169,51 @@ def cmd_run(args: argparse.Namespace) -> int:
         config.trials,
         width_b,
     )
+    return {
+        "label": instance.label,
+        "n_qubits": n,
+        "s_terms": instance.s_count,
+        "c_terms": instance.c_count,
+        "m_in_use": instance.terms_in_use,
+        "trials": t,
+        "counter_bits": width_b,
+        "counter_bits_feasible": feasible,
+        "baseline_energy": baseline_energy,
+        "counter_energy": counter_energy,
+        "baseline_energy_float": float(baseline_energy),
+        "counter_energy_float": float(counter_energy),
+        "energies_equal": baseline_energy == counter_energy,
+        "t_layer_ns": profile.layer_time_ns(timings),
+        "t_qc_ns": t_qc_ns,
+        **asdict(report),
+        "baseline_bits_per_trial": n,
+        "baseline_total_bits": n * t,
+        "proposed_peak_bits_per_trial": ledger.peak_bits_per_trial,
+        "proposed_avg_bits_per_trial": ledger.total_msb_bits / t,
+        "proposed_total_msb_bits": ledger.total_msb_bits,
+        "collection_bits": width_b * ledger.m_in_use,
+    }
 
-    lines = [
-        config_comment,
-        f"label={instance.label}",
-        f"n_qubits={n}",
-        f"s_terms={instance.s_count}",
-        f"c_terms={instance.c_count}",
-        f"m_in_use={instance.terms_in_use}",
-        f"trials={t}",
-        f"counter_bits={width_b}",
-        f"counter_bits_feasible={_fmt(feasible)}",
-        f"baseline_energy={baseline_energy}",
-        f"counter_energy={counter_energy}",
-        f"baseline_energy_float={_fmt(float(baseline_energy))}",
-        f"counter_energy_float={_fmt(float(counter_energy))}",
-        f"energies_equal={_fmt(energies_equal)}",
-        f"t_layer_ns={_fmt(profile.layer_time_ns(timings))}",
-        f"t_qc_ns={_fmt(t_qc_ns)}",
-        f"bw_inst_bps={_fmt(report.bw_inst_bps)}",
-        f"bw_meas_bps={_fmt(report.bw_meas_bps)}",
-        f"bw_msb_bps={_fmt(report.bw_msb_bps)}",
-        f"bw_non_msb_bps={_fmt(report.bw_non_msb_bps)}",
-        f"bw_proposed_bps={_fmt(report.bw_proposed_bps)}",
-        f"reduction_ratio={_fmt(report.reduction_ratio)}",
-        f"overhead_factor={_fmt(report.overhead_factor)}",
-        f"t_c_ns={_fmt(report.t_c_ns)}",
-        f"baseline_bits_per_trial={n}",
-        f"baseline_total_bits={n * t}",
-        f"proposed_peak_bits_per_trial={ledger.peak_bits_per_trial}",
-        f"proposed_avg_bits_per_trial={_fmt(ledger.total_msb_bits / t)}",
-        f"proposed_total_msb_bits={ledger.total_msb_bits}",
-        f"collection_bits={width_b * ledger.m_in_use}",
-    ]
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = load_scenario(args.config) if args.config else ScenarioConfig()
+    flags = {key: getattr(args, key) for key in _RUN_KEYS}
+    config = replace(config, **{key: v for key, v in flags.items() if v is not None})
+    if args.instance is not None:
+        config = replace(config, instance=args.instance, generator=None, base_dir=".")
+    elif args.generator is not None:
+        config = replace(config, generator=args.generator, instance=None)
+    config.validate()
+    path = config.instance_path()
+    instance = make_instance(config.generator) if path is None else load_instance(path)
+
+    summary = run_scenario(config, instance, args.trace)
+    lines = [_config_line(config), *(f"{key}={_fmt(value)}" for key, value in summary.items())]
     _emit(lines, args.out, args.quiet)
     if args.trace is not None and not args.quiet:
         print(f"wrote {args.trace}")
 
-    if not energies_equal:
+    if not summary["energies_equal"]:
         print("invariant violation: counter energy differs from baseline", file=sys.stderr)
         return 1
     return 0

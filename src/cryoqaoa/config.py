@@ -132,8 +132,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         """The rules that tie keys together; each key's own range is checked
         by its parser in ``_PARSERS``."""
-        if self.instance is None and self.generator is None:
-            raise ValueError("config needs an 'instance' path or a 'generator' spec")
+        if (self.instance is None) == (self.generator is None):
+            raise ValueError("config needs exactly one of 'instance' and 'generator'")
         if len(self.gammas) != len(self.betas):
             raise ValueError("gammas and betas must have the same length")
 
@@ -178,6 +178,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse a scenario file; errors carry the file, line, and field."""
     path = Path(path)
     values: dict[str, Any] = {"base_dir": str(path.parent)}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -191,6 +192,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             values[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+        first = key_lines.setdefault(key, lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: {key!r} repeats line {first}")
     return ScenarioConfig(**values)
 
 

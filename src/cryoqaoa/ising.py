@@ -436,6 +436,7 @@ def load_instance(path: str | Path) -> IsingInstance:
     label = ""
     linear: dict[int, Coeff] = {}
     pairs: dict[tuple[int, int], Coeff] = {}
+    first_lines: dict[str | EntryId, int] = {}  # key or term -> its line; a pair as (min, max)
     section = None
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -455,14 +456,18 @@ def load_instance(path: str | Path) -> IsingInstance:
             if section is None:
                 if key == "n":
                     n = _parse_int(value, "qubit count")
+                    if n < 1:
+                        raise ValueError(f"qubit count must be >= 1, got {n}")
                 elif key == "label":
                     label = value
                 else:
                     raise ValueError(f"unknown top-level key {key!r}")
+                name, entry = repr(key), key
             elif section == "linear":
                 i = _parse_int(key, "linear index")
                 _check_linear(i, n)
                 linear[i] = _parse_coeff(value)
+                name, entry = f"linear index {i}", i
             else:
                 fields = key.split()
                 if len(fields) != 2:
@@ -470,6 +475,10 @@ def load_instance(path: str | Path) -> IsingInstance:
                 i, j = (_parse_int(f, "pair index") for f in fields)
                 _check_pair(i, j, n)
                 pairs[(i, j)] = _parse_coeff(value)
+                name, entry = f"pair ({i}, {j})", (min(i, j), max(i, j))
+            first = first_lines.setdefault(entry, lineno)
+            if first != lineno:
+                raise ValueError(f"{name} repeats line {first}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if n is None:

@@ -18,7 +18,14 @@ from cryoqaoa import power
 from cryoqaoa.cli import build_parser, main
 from cryoqaoa.config import ScenarioConfig, load_scenario
 from cryoqaoa.counters import Flushes, Ledger
-from cryoqaoa.ising import CHUNK_CELLS, make_instance, pack_trials, row_chunks, trial_chunks
+from cryoqaoa.ising import (
+    CHUNK_CELLS,
+    load_instance,
+    make_instance,
+    pack_trials,
+    row_chunks,
+    trial_chunks,
+)
 from cryoqaoa.qaoa import _drawn_ahead, synthetic_chunks, synthetic_trials
 from cryoqaoa.timing import DEFAULT_TIMINGS, per_qubit_circuit_time_ns
 
@@ -132,7 +139,8 @@ class TestRun:
         self, capsys, monkeypatch, tmp_path, width
     ):
         # ring:4 has t_QC = 760 ns, so b = 1005 is the widest finite collection window
-        monkeypatch.setattr(cli, "_build_trials", lambda *args: pytest.fail("trials drawn"))
+        for draw in ("prepare_state", "synthetic_chunks"):
+            monkeypatch.setattr(cli.qaoa, draw, lambda *args, **kwargs: pytest.fail("trials drawn"))
         argv = ["run", "--generator", "ring:4", "--trials", "10", "--counter-bits", width]
         if width.startswith("file:"):
             width = width.removeprefix("file:")
@@ -159,6 +167,22 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--instance", str(path))
         assert code == 2
         assert err == f"error: {path}:4: pair (1, 9) out of range [0, 4)\n"
+
+    @pytest.mark.parametrize(
+        "terms, repeat",
+        [
+            ("[pairs]\n0 1 = 1\n0 1 = 5\n", "pair (0, 1)"),
+            ("[pairs]\n0 1 = 1\n1 0 = 5\n", "pair (1, 0)"),
+            ("[linear]\n0 = 1\n0 = 5\n", "linear index 0"),
+        ],
+        ids=["pair", "reversed-pair", "linear"],
+    )
+    def test_repeated_term_exits_2_naming_both_lines(self, capsys, tmp_path, terms, repeat):
+        path = tmp_path / "bad.instance"
+        path.write_text("n = 2\n" + terms)
+        code, out, err = run_cli(capsys, "run", "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:4: {repeat} repeats line 3\n"
 
     def test_non_finite_coefficient_exits_2_with_line(self, capsys, tmp_path):
         path = tmp_path / "bad.instance"
@@ -444,6 +468,48 @@ def _fed_chunks(instance, width_b, chunks):
     for z in chunks:
         flushes = ledger.feed(pack_trials(z), len(z))
         yield flushes, ledger.trial_count - len(z)
+
+
+class TestRunScenario:
+    """``run_scenario`` called without argparse returns what ``run`` prints."""
+
+    @pytest.mark.parametrize(
+        "config, argv, traced",
+        [
+            (
+                load_scenario(SCENARIO_DIR / "maxcut-ring8.scenario"),
+                ["--config", str(SCENARIO_DIR / "maxcut-ring8.scenario")],
+                True,
+            ),
+            (
+                ScenarioConfig(generator="path:40", source="synthetic"),
+                ["--generator", "path:40", "--source", "synthetic"],
+                True,
+            ),
+            (
+                ScenarioConfig(generator="ring:8", source="exact", optimize_steps=4),
+                ["--generator", "ring:8", "--source", "exact", "--optimize-steps", "4"],
+                False,
+            ),
+        ],
+        ids=["ring8-scenario", "path40-synthetic", "ring8-optimized"],
+    )
+    def test_summary_equals_cli_text(self, capsys, tmp_path, config, argv, traced):
+        path = config.instance_path()
+        instance = make_instance(config.generator) if path is None else load_instance(path)
+        library_trace, cli_trace = tmp_path / "library.csv", tmp_path / "cli.csv"
+        summary = cli.run_scenario(config, instance, str(library_trace) if traced else None)
+        if traced:
+            argv = [*argv, "--trace", str(cli_trace)]
+        code, out, _ = run_cli(capsys, "run", "--quiet", *argv)
+        assert code == 0
+        assert type(summary) is dict
+        assert [(key, cli._fmt(value)) for key, value in summary.items()] == list(
+            summary_dict(out).items()
+        )
+        assert library_trace.exists() == cli_trace.exists() == traced
+        if traced:
+            assert library_trace.read_bytes() == cli_trace.read_bytes()
 
 
 class TestFlushRows:
@@ -1049,6 +1115,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"s\.scenario:2.*bogus"):
             load_scenario(path)
 
+    def test_repeated_key_reports_both_lines(self, capsys, tmp_path):
+        path = tmp_path / "s.scenario"
+        path.write_text("generator = ring:6\ntrials = 100\n\ntrials = 200\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:4: 'trials' repeats line 2\n"
+
     def test_bad_value_reports_field(self, tmp_path):
         path = tmp_path / "s.scenario"
         path.write_text("trials = soon\n")
@@ -1069,6 +1142,9 @@ class TestConfigFile:
         "lines, message",
         [
             ("gammas = 0.1, 0.2\nbetas = 0.3\n", "same length"),
+            pytest.param(
+                f"instance = {SCENARIO_DIR / 'ring8.instance'}\n", "exactly one of", id="both"
+            ),
         ],
     )
     def test_cross_key_rule_via_cli_exits_2(self, capsys, tmp_path, lines, message):
@@ -1077,6 +1153,21 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "run", "--config", str(path))
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["--generator", "ring:4"], "ring-4"),
+            (["--instance", str(SCENARIO_DIR / "ring8.instance")], "ring-8"),
+        ],
+        ids=["generator", "instance"],
+    )
+    def test_flag_replaces_both_source_keys(self, capsys, tmp_path, argv, label):
+        path = tmp_path / "s.scenario"
+        path.write_text(f"instance = {SCENARIO_DIR / 'ring8.instance'}\ngenerator = ring:6\n")
+        code, out, _ = run_cli(capsys, "run", "--config", str(path), "--trials", "10", *argv)
+        assert code == 0
+        assert summary_dict(out)["label"] == label
 
     def test_unknown_timings_preset_reports_line(self, capsys, tmp_path):
         path = tmp_path / "s.scenario"

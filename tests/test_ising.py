@@ -319,6 +319,10 @@ class TestFiles:
             ("n = 4\n[linear]\n0 = 1\n4 = 2\n", 4),
             ("n = 4\n[pairs]\n0 1 = 1\n2 2 = 2\n", 4),
             ("[pairs]\n0 1 = 1\n", 1),
+            ("n = 0\n", 1),
+            ("n = 0\n[linear]\n0 = 1\n", 1),
+            ("# no qubits\nn = -2\n", 2),
+            ("n = 2\nlabel = a\nn = 3\n", 3),
         ],
         ids=[
             "no-equals",
@@ -330,6 +334,10 @@ class TestFiles:
             "linear-out-of-range",
             "self-loop",
             "section-before-n",
+            "zero-n",
+            "zero-n-with-term",
+            "negative-n",
+            "repeated-n",
         ],
     )
     def test_parse_error_has_line_number(self, tmp_path, text, line):
