@@ -22,30 +22,26 @@ from .timing import (
     _NS_PER_S,
     GateTimings,
     DEFAULT_TIMINGS,
-    circuit_time_ns,
-    layer_time_ns,
+    ExecutionProfile,
     per_qubit_circuit_time_ns,
 )
 
 
-def bw_inst_bps(
-    timings: GateTimings, s: int, c: int, n: int, l: int, p: int, b_p: int
-) -> float:
+def bw_inst_bps(profile: ExecutionProfile, timings: GateTimings, b_p: int) -> float:
     """Peak rate needed to deliver the 2*l*b_p parameter bits of layer l
     before that layer starts.
 
     For a single layer only the pre-circuit deadline exists; for more, the
     binding deadline is either the first or the last layer.
     """
-    if l < 1:
-        raise ValueError(f"layers must be >= 1, got {l}")
-    deadline_ns = n * (timings.t_reset_ns + timings.t_init_ns)
+    l, p = profile.layers, profile.parallelism
+    deadline_ns = profile.n_qubits * (timings.t_reset_ns + timings.t_init_ns)
     if deadline_ns <= 0:
         raise ValueError("reset+init window must be positive")
     first = 2 * p * b_p / deadline_ns * _NS_PER_S
     if l == 1:
         return first
-    t_l = layer_time_ns(timings, s, c, n)
+    t_l = profile.layer_time_ns(timings)
     if t_l <= 0:
         raise ValueError("layer time must be positive for multi-layer transfers")
     last = 2 * p * l * b_p / ((l - 1) * t_l) * _NS_PER_S
@@ -217,25 +213,17 @@ class BandwidthReport:
 
 
 def bandwidth_report(
-    timings: GateTimings,
-    s: int,
-    c: int,
-    n: int,
-    l: int,
-    p: int,
-    b_p: int,
-    trials: int,
-    b: int,
+    profile: ExecutionProfile, timings: GateTimings, b_p: int, trials: int, b: int
 ) -> BandwidthReport:
     """Assemble the full rate picture for one scenario at width ``b``.
 
     The S + C counters the instance uses are collected over the minimal
     smoothing window, so the residual collection rate ties the MSB rate.
     """
-    m = s + c
-    t_qc = circuit_time_ns(timings, s, c, n, l, p)
+    m = profile.s + profile.c
+    t_qc = profile.circuit_time_ns(timings)
     t_c_ns = min_collection_time_ns(b, t_qc)
-    meas = bw_meas_bps(n, t_qc)
+    meas = bw_meas_bps(profile.n_qubits, t_qc)
     if m >= 1:
         msb = bw_msb_bps(m, b, t_qc)
         non_msb = bw_non_msb_bps(m, b, t_c_ns)
@@ -244,7 +232,7 @@ def bandwidth_report(
         non_msb = 0.0
     proposed = max(msb, non_msb)
     return BandwidthReport(
-        bw_inst_bps=bw_inst_bps(timings, s, c, n, l, p, b_p),
+        bw_inst_bps=bw_inst_bps(profile, timings, b_p),
         bw_meas_bps=meas,
         bw_msb_bps=msb,
         bw_non_msb_bps=non_msb,

@@ -7,16 +7,16 @@ Subcommands:
   fig5b  baseline-vs-proposed power sweep over qubit counts, with crossover
   audit  randomized invariant suite with optional fault injection
 
-Exit codes: 0 ok, 1 invariant violation, 2 usage or config error.
+Exit codes: 0 ok, 1 invariant violation, 2 usage, config or file error.
 Every CSV starts with a comment line recording the resolved configuration,
 then a header row; output is byte-stable for a fixed seed.
 
-``run`` is one call of ``run_scenario``, which returns the summary as a
-dict for ``cmd_run`` to format.  It streams its trials in row chunks
-through ``counters.counter_pass``, which packs each chunk once for the
-sampled energy and the ledger.  The synthetic source
-(``qaoa.synthetic_chunks``) draws chunk k+1 on a worker thread while the
-pass packs, counts, feeds the ledger and traces chunk k.
+``run`` is one call of ``run_scenario``, which builds the instance its
+config names and returns the summary as a dict for ``cmd_run`` to format.
+It streams its trials in row chunks through ``counters.counter_pass``,
+which packs each chunk once for the sampled energy and the ledger.  The
+synthetic source (``qaoa.synthetic_chunks``) draws chunk k+1 on a worker
+thread while the pass packs, counts, feeds the ledger and traces chunk k.
 The ``--trace`` rows of a chunk are formatted together as one byte table.
 
 Output is written line by line as it is produced.  ``fig5b`` prices its
@@ -45,14 +45,13 @@ from . import bandwidth, counters, power, qaoa
 from .config import (
     _PARSERS,
     ScenarioConfig,
-    _count,
     _int_at_least,
     _list_of,
     _positive_float,
     load_scenario,
     resolved_items,
 )
-from .ising import IsingInstance, load_instance, make_instance, physical_memory
+from .ising import load_instance, make_instance, physical_memory
 from .timing import ExecutionProfile
 
 
@@ -106,14 +105,17 @@ def _config_line(config: ScenarioConfig) -> str:
     return "# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in resolved_items(config))
 
 
-def run_scenario(
-    config: ScenarioConfig, instance: IsingInstance, trace: str | None = None
-) -> dict[str, Any]:
+def run_scenario(config: ScenarioConfig, trace: str | None = None) -> dict[str, Any]:
     """Run one scenario point; its summary, keys in the order ``run`` prints.
 
-    One ``counters.counter_pass`` over lazily drawn trial chunks gives both
-    energies.  The ``--trace`` CSV, if asked for, appears once it completes.
+    The config is validated and its instance built (from its file or its
+    generator) before any trial is drawn.  One ``counters.counter_pass``
+    over lazily drawn trial chunks gives both energies.  The ``--trace``
+    CSV, if asked for, appears once it completes.
     """
+    config.validate()
+    path = config.instance_path()
+    instance = make_instance(config.generator) if path is None else load_instance(path)
     n = instance.n_qubits
     p = n if config.parallelism == "full" else int(config.parallelism)
     profile = ExecutionProfile(
@@ -158,17 +160,7 @@ def run_scenario(
             handle.write("".join(f"{t},{width_b},{name},readout\n" for name in names).encode())
 
     counter_energy = counters.counter_energy_estimate(instance, ledger.collect(), t)
-    report = bandwidth.bandwidth_report(
-        timings,
-        instance.s_count,
-        instance.c_count,
-        n,
-        config.layers,
-        p,
-        config.param_bits,
-        config.trials,
-        width_b,
-    )
+    report = bandwidth.bandwidth_report(profile, timings, config.param_bits, config.trials, width_b)
     return {
         "label": instance.label,
         "n_qubits": n,
@@ -203,11 +195,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = replace(config, instance=args.instance, generator=None, base_dir=".")
     elif args.generator is not None:
         config = replace(config, generator=args.generator, instance=None)
-    config.validate()
-    path = config.instance_path()
-    instance = make_instance(config.generator) if path is None else load_instance(path)
-
-    summary = run_scenario(config, instance, args.trace)
+    summary = run_scenario(config, args.trace)
     lines = [_config_line(config), *(f"{key}={_fmt(value)}" for key, value in summary.items())]
     _emit(lines, args.out, args.quiet)
     if args.trace is not None and not args.quiet:
@@ -289,7 +277,7 @@ def _parse_grid(text: str, parse, flag: str) -> tuple:
 
 def cmd_fig5a(args: argparse.Namespace) -> int:
     # parsed here, not by argparse, so the comment line keeps the text as given
-    t_values = _parse_grid(args.t_list, _count, "--t-list")
+    t_values = _parse_grid(args.t_list, _int_at_least(1), "--t-list")
     r_grid = _parse_grid(args.r_grid, _positive_float, "--r-grid")
     rows = bandwidth.staircase_sweep(t_values, r_grid, n=args.n_qubits)
     comment = (
@@ -415,14 +403,27 @@ def _arg_type(parse):
     return convert
 
 
+def _output_path(text: str) -> str:
+    """A path to write, checked before the command starts: a file name
+    in an existing directory."""
+    path = Path(text)
+    if path.is_dir():
+        raise ValueError(f"{text} is a directory, not a file")
+    if not path.parent.is_dir():
+        raise ValueError(f"{text}: {path.parent} is not an existing directory")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     def at_least(low: int, word: str | None = None):
         return _arg_type(_int_at_least(low, word))
 
+    written = _arg_type(_output_path)
+
     quiet = argparse.ArgumentParser(add_help=False)
     quiet.add_argument("--quiet", action="store_true", help="suppress progress chatter")
     output = argparse.ArgumentParser(add_help=False, parents=[quiet])
-    output.add_argument("--out", help="write primary output to this path")
+    output.add_argument("--out", type=written, help="write primary output to this path")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=at_least(0), help="override the RNG seed")
 
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--generator", help="instance generator, e.g. ring:8")
     for key in _RUN_KEYS:
         p_run.add_argument("--" + key.replace("_", "-"), dest=key, type=_arg_type(_PARSERS[key]))
-    p_run.add_argument("--trace", help="write per-event transfer CSV to this path")
+    p_run.add_argument("--trace", type=written, help="write per-event transfer CSV to this path")
 
     # fig5a and fig5b ignore --seed; they take it so every call may end with one
     p_a = sub.add_parser("fig5a", parents=[output, seeded], help="bandwidth staircase sweep CSV")
@@ -459,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--b-max", dest="b_max", type=at_least(2), default=8)
     p_audit.add_argument("--exhaustive", action="store_true")
     p_audit.add_argument("--inject", choices=["drop-msb"])
-    p_audit.add_argument("--counterexample", help="violation dump path")
+    p_audit.add_argument("--counterexample", type=written, help="violation dump path")
     return parser
 
 
@@ -474,10 +475,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]  # by name, so a wrapped cmd_* is the one run
     try:
         return command(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except counters.LedgerError as exc:

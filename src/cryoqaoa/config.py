@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -10,17 +11,30 @@ from typing import Any, Callable
 from .timing import GateTimings, PRESETS
 
 
+# Python's default limit on the digits of an int converted from text
+_MAX_INT_DIGITS = 4300
+
+
 def _int_at_least(low: int, word: str | None = None) -> Callable[[str], int | str]:
-    """Parser of an integer >= ``low``, or of the literal ``word`` if given."""
+    """Parser of an integer >= ``low``, or of the literal ``word`` if given.
+
+    The integer may be written in decimal or exponent notation (``1e5``,
+    ``100000.0``) as long as its value is integral; it is converted exactly,
+    never through a binary float.
+    """
     rule = f"{word!r} or an integer >= {low}" if word else f"an integer >= {low}"
 
     def parse(text: str) -> int | str:
         if text == word:
             return text
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be {rule}, got {value}")
-        return value
+        try:
+            number = decimal.Decimal(text)
+        except decimal.InvalidOperation:
+            number = decimal.Decimal("nan")
+        bounded = number.is_finite() and number.adjusted() < _MAX_INT_DIGITS
+        if not (bounded and number == number.to_integral_value() and number >= low):
+            raise ValueError(f"must be {rule}, got {text}")
+        return int(number)
 
     return parse
 
@@ -63,14 +77,6 @@ def _timings(text: str) -> str:
     if text not in PRESETS:
         raise ValueError(f"unknown timings preset {text!r}; choose from {sorted(PRESETS)}")
     return text
-
-
-def _count(text: str) -> int:
-    """An integer >= 1, also in float notation such as ``1e3``."""
-    number = float(text)
-    if not (number.is_integer() and number >= 1):
-        raise ValueError(f"must be an integer >= 1, got {text}")
-    return int(number)
 
 
 def _list_of(parse: Callable[[str], Any]) -> Callable[[str], tuple]:

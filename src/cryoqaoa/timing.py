@@ -83,8 +83,8 @@ class ExecutionProfile:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
-        if self.s < 0 or self.c < 0 or self.layers < 0:
-            raise ValueError("term counts and layers must be non-negative")
+        if self.s < 0 or self.c < 0 or self.layers < 1:
+            raise ValueError("term counts must be non-negative and layers >= 1")
         if not 1 <= self.parallelism <= self.n_qubits:
             raise ValueError(
                 f"parallelism must be in [1, {self.n_qubits}], got {self.parallelism}"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -17,28 +18,32 @@ from cryoqaoa.bandwidth import (
     resolve_width,
     staircase_sweep,
 )
-from cryoqaoa.timing import DEFAULT_TIMINGS, GateTimings, circuit_time_ns
+from cryoqaoa.timing import DEFAULT_TIMINGS, ExecutionProfile, GateTimings, circuit_time_ns
+
+
+def shape(n, s, c, l, p):
+    return ExecutionProfile(n_qubits=n, s=s, c=c, layers=l, parallelism=p)
 
 
 class TestInstructionBandwidth:
     def test_single_layer_full_parallelism(self):
         # 2*b_p/(t_reset+t_init) independent of N when P=N
-        value = bw_inst_bps(DEFAULT_TIMINGS, 0, 99, 100, l=1, p=100, b_p=32)
+        value = bw_inst_bps(shape(100, 0, 99, l=1, p=100), DEFAULT_TIMINGS, b_p=32)
         assert value == pytest.approx(2 * 32 / 110e-9)
 
     def test_zero_parameter_width(self):
-        assert bw_inst_bps(DEFAULT_TIMINGS, 0, 3, 4, 1, 4, b_p=0) == 0
+        assert bw_inst_bps(shape(4, 0, 3, 1, 4), DEFAULT_TIMINGS, b_p=0) == 0
 
     def test_many_layers_approach_per_layer_deadline(self):
         # layers much shorter than the reset+init window: the inter-layer
         # deadline binds and tends to 2*P*b_p/t_L as L grows
         t_l = 10 * 10  # S=0, C=0, N=10, t_rx=10
-        value = bw_inst_bps(DEFAULT_TIMINGS, 0, 0, 10, l=10**6, p=10, b_p=32)
+        value = bw_inst_bps(shape(10, 0, 0, l=10**6, p=10), DEFAULT_TIMINGS, b_p=32)
         assert value == pytest.approx(2 * 10 * 32 / (t_l * 1e-9), rel=1e-5)
 
     def test_layer_count_validated(self):
         with pytest.raises(ValueError, match="layers"):
-            bw_inst_bps(DEFAULT_TIMINGS, 0, 1, 2, 0, 2, 32)
+            bw_inst_bps(shape(2, 0, 1, 0, 2), DEFAULT_TIMINGS, 32)
 
 
 class TestMeasurementBandwidth:
@@ -137,7 +142,7 @@ class TestReductionRatio:
         n, m, b = 100, 99, 4
         t_qc = circuit_time_ns(DEFAULT_TIMINGS, 0, n - 1, n, 1, n)
         quotient = bw_msb_bps(m, b, t_qc) / bw_meas_bps(n, t_qc)
-        report = bandwidth_report(DEFAULT_TIMINGS, 0, m, n, 1, n, 32, 1000, b)
+        report = bandwidth_report(shape(n, 0, m, 1, n), DEFAULT_TIMINGS, 32, 1000, b)
         assert report.reduction_ratio == pytest.approx(quotient, rel=1e-12)
         assert report.reduction_ratio == pytest.approx(m / (n * 2 ** (b - 1)), rel=1e-12)
 
@@ -165,12 +170,12 @@ def test_measurement_dominates_instruction_transfer_at_scale():
     for n in (1024, 2048, 4096):
         meas = bw_meas_bps(n, circuit_time_ns(DEFAULT_TIMINGS, 0, n - 1, n, 1, n))
         for b_p in (1, 8, 16, 32, 64):
-            assert bw_inst_bps(DEFAULT_TIMINGS, 0, n - 1, n, 1, n, b_p) < meas
+            assert bw_inst_bps(shape(n, 0, n - 1, 1, n), DEFAULT_TIMINGS, b_p) < meas
     # below that scale wide parameters can still dominate
     n = 128
     meas = bw_meas_bps(n, circuit_time_ns(DEFAULT_TIMINGS, 0, n - 1, n, 1, n))
-    assert bw_inst_bps(DEFAULT_TIMINGS, 0, n - 1, n, 1, n, 64) > meas
-    assert bw_inst_bps(DEFAULT_TIMINGS, 0, n - 1, n, 1, n, 8) < meas
+    assert bw_inst_bps(shape(n, 0, n - 1, 1, n), DEFAULT_TIMINGS, 64) > meas
+    assert bw_inst_bps(shape(n, 0, n - 1, 1, n), DEFAULT_TIMINGS, 8) < meas
 
 
 class TestStaircaseSweep:
@@ -222,10 +227,28 @@ class TestResolveWidth:
 
 class TestBandwidthReport:
     def test_proposed_is_max_of_streams(self):
-        report = bandwidth_report(DEFAULT_TIMINGS, 0, 7, 8, 1, 8, 32, 1000, 4)
+        report = bandwidth_report(shape(8, 0, 7, 1, 8), DEFAULT_TIMINGS, 32, 1000, 4)
         assert report.bw_proposed_bps == max(report.bw_msb_bps, report.bw_non_msb_bps)
         assert report.reduction_ratio == report.bw_proposed_bps / report.bw_meas_bps
 
     def test_default_window_ties(self):
-        report = bandwidth_report(DEFAULT_TIMINGS, 0, 7, 8, 1, 8, 32, 1000, 4)
+        report = bandwidth_report(shape(8, 0, 7, 1, 8), DEFAULT_TIMINGS, 32, 1000, 4)
         assert report.bw_proposed_bps == pytest.approx(report.bw_msb_bps, rel=1e-12)
+
+    def test_three_layers_below_full_parallelism_by_hand(self):
+        # N = 8, S = 2, C = 1, L = 3, P = 4 at paper-v1 timings, b_p = 32, T = 1000, b = 4:
+        # t_layer = 2*10 + 2*1*130 + 8*10 = 360 ns, t_QC = (8*490 + 3*360)/4 = 1250 ns
+        report = bandwidth_report(shape(8, 2, 1, 3, 4), DEFAULT_TIMINGS, 32, 1000, 4)
+        hand = {
+            # the last layer's deadline, 2*P*L*b_p / ((L-1)*t_layer), binds over the first's,
+            # 2*P*b_p / (N*(t_reset + t_init)) = 2*4*32 / (8*110 ns)
+            "bw_inst_bps": 2 * 4 * 3 * 32 / (2 * 360e-9),
+            "bw_meas_bps": 8 / 1250e-9,
+            "bw_msb_bps": 3 / (8 * 1250e-9),
+            "bw_non_msb_bps": 4 * 3 / (4 * 8 * 1250e-9),
+            "bw_proposed_bps": 3 / (8 * 1250e-9),
+            "reduction_ratio": 3 / 64,
+            "overhead_factor": 1.032,
+            "t_c_ns": 4 * 8 * 1250,
+        }
+        assert dataclasses.asdict(report) == pytest.approx(hand, rel=1e-12)

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import signal
@@ -13,14 +14,15 @@ import numpy as np
 import pytest
 
 import cryoqaoa
+import cryoqaoa.audit as audit_mod
 import cryoqaoa.cli as cli
+import cryoqaoa.qaoa as qaoa_mod
 from cryoqaoa import power
 from cryoqaoa.cli import build_parser, main
 from cryoqaoa.config import ScenarioConfig, load_scenario
 from cryoqaoa.counters import Flushes, Ledger
 from cryoqaoa.ising import (
     CHUNK_CELLS,
-    load_instance,
     make_instance,
     pack_trials,
     row_chunks,
@@ -29,13 +31,26 @@ from cryoqaoa.ising import (
 from cryoqaoa.qaoa import _drawn_ahead, synthetic_chunks, synthetic_trials
 from cryoqaoa.timing import DEFAULT_TIMINGS, per_qubit_circuit_time_ns
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail the test if the command draws a trial or starts the audit."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before the command was refused")
+
+    monkeypatch.setattr(qaoa_mod, "synthetic_chunks", forbidden)
+    monkeypatch.setattr(qaoa_mod, "prepare_state", forbidden)
+    monkeypatch.setattr(audit_mod, "run_audit", forbidden)
 
 
 def summary_dict(out):
@@ -136,11 +151,9 @@ class TestRun:
 
     @pytest.mark.parametrize("width", ["1006", "1016", "2000", str(10**20), "file:2000"])
     def test_over_wide_counter_bits_exit_2_before_any_trial(
-        self, capsys, monkeypatch, tmp_path, width
+        self, capsys, tmp_path, no_draw, width
     ):
         # ring:4 has t_QC = 760 ns, so b = 1005 is the widest finite collection window
-        for draw in ("prepare_state", "synthetic_chunks"):
-            monkeypatch.setattr(cli.qaoa, draw, lambda *args, **kwargs: pytest.fail("trials drawn"))
         argv = ["run", "--generator", "ring:4", "--trials", "10", "--counter-bits", width]
         if width.startswith("file:"):
             width = width.removeprefix("file:")
@@ -439,6 +452,32 @@ BAD_RUN_VALUES = [
     ("statevector_limit", "-3"),
 ]
 
+# Each integer `run` key in decimal or exponent notation, and the plain value it equals
+INTEGRAL_NOTATION = [
+    ("trials", "6.4e1", "64"),
+    ("trials", "1e5", "100000"),
+    ("trials", "100000.0", "100000"),
+    ("layers", "2.0", "2"),
+    ("parallelism", "0.2e1", "2"),
+    ("param_bits", "8e0", "8"),
+    ("counter_bits", "3.00", "3"),
+    ("optimize_steps", "2E0", "2"),
+    ("statevector_limit", "3.0", "3"),
+    ("seed", "5e0", "5"),
+]
+
+# The rule each integer option states when it refuses a value
+INTEGER_RULES = {
+    "trials": "an integer >= 1",
+    "layers": "an integer >= 1",
+    "parallelism": "'full' or an integer >= 1",
+    "param_bits": "an integer >= 1",
+    "counter_bits": "'auto' or an integer >= 2",
+    "optimize_steps": "an integer >= 0",
+    "statevector_limit": "an integer >= 1",
+    "seed": "an integer >= 0",
+}
+
 # Scenario keys that have no `run` flag, with a value their parser refuses.
 BAD_FILE_VALUES = [
     ("gammas", "nan"),
@@ -495,10 +534,8 @@ class TestRunScenario:
         ids=["ring8-scenario", "path40-synthetic", "ring8-optimized"],
     )
     def test_summary_equals_cli_text(self, capsys, tmp_path, config, argv, traced):
-        path = config.instance_path()
-        instance = make_instance(config.generator) if path is None else load_instance(path)
         library_trace, cli_trace = tmp_path / "library.csv", tmp_path / "cli.csv"
-        summary = cli.run_scenario(config, instance, str(library_trace) if traced else None)
+        summary = cli.run_scenario(config, str(library_trace) if traced else None)
         if traced:
             argv = [*argv, "--trace", str(cli_trace)]
         code, out, _ = run_cli(capsys, "run", "--quiet", *argv)
@@ -510,6 +547,25 @@ class TestRunScenario:
         assert library_trace.exists() == cli_trace.exists() == traced
         if traced:
             assert library_trace.read_bytes() == cli_trace.read_bytes()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScenarioConfig(),
+            ScenarioConfig(instance=str(SCENARIO_DIR / "ring8.instance"), generator="ring:4"),
+        ],
+        ids=["neither", "both"],
+    )
+    def test_config_without_one_source_raises_before_any_draw(self, no_draw, config):
+        with pytest.raises(ValueError, match="exactly one of 'instance' and 'generator'"):
+            cli.run_scenario(config)
+
+    def test_readme_library_example_runs(self, monkeypatch):
+        section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert "run_scenario(" in code
+        monkeypatch.chdir(ROOT)
+        exec(compile(code, "README.md", "exec"), {})
 
 
 class TestFlushRows:
@@ -752,6 +808,107 @@ class TestRunKeys:
         code, out, err = run_cli(capsys, "run", "--config", str(path))
         assert (code, out) == (2, "")
         assert f"s.scenario:3: bad value for {key!r}: must be a finite number" in err
+
+
+class TestIntegers:
+    """One integer rule for every integer key, flag and grid value."""
+
+    @pytest.mark.parametrize("key, text, plain", INTEGRAL_NOTATION)
+    def test_integral_notation_resolves_like_plain(self, capsys, tmp_path, key, text, plain):
+        expected = run_cli(capsys, "run", "--generator", "ring:4", flag(key), plain)
+        assert expected[0] == 0
+        path = tmp_path / "s.scenario"
+        path.write_text(f"generator = ring:4\n{key} = {text}\n")
+        assert run_cli(capsys, "run", "--config", str(path)) == expected
+        assert run_cli(capsys, "run", "--generator", "ring:4", flag(key), text) == expected
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("12345678901234567891", 12345678901234567891), ("1e23", 10**23)],
+    )
+    def test_t_list_converted_exactly(self, capsys, text, value):
+        code, out, _ = run_cli(capsys, "fig5a", "--t-list", text, "--r-grid", "0.05")
+        assert code == 0
+        assert out.splitlines()[2].split(",")[0] == str(value)
+
+    @pytest.mark.parametrize("text", ["1.5", "nan", "inf", "-inf", "1e4300", "1" + "0" * 4300])
+    @pytest.mark.parametrize("key", sorted(INTEGER_RULES))
+    def test_non_integer_refused_with_the_rule(self, capsys, tmp_path, key, text):
+        rule = f"must be {INTEGER_RULES[key]}, got {text}"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--generator", "ring:4", f"{flag(key)}={text}"])
+        assert exc.value.code == 2
+        assert f"argument {flag(key)}: {rule}\n" in capsys.readouterr().err
+        path = tmp_path / "s.scenario"
+        path.write_text(f"generator = ring:4\n{key} = {text}\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}:2: bad value for {key!r}: {rule}\n")
+
+    @pytest.mark.parametrize(
+        "argv, rule",
+        [
+            (["fig5a", "--n-qubits", "1.5"], "an integer >= 1"),
+            (["fig5b", "--b-policy", "2.5"], "'log2' or an integer >= 2"),
+            (["audit", "--cases", "nan"], "an integer >= 0"),
+            (["audit", "--seed", "1e-3"], "an integer >= 0"),
+        ],
+    )
+    def test_other_integer_flags_state_the_rule(self, capsys, argv, rule):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        expected = f"argument {argv[1]}: must be {rule}, got {argv[2]}\n"
+        assert capsys.readouterr().err.endswith(expected)
+
+
+# Commands with an output path, "{path}" marking it
+WRITING_COMMANDS = [
+    ["fig5a", "--out", "{path}"],
+    ["fig5b", "--out", "{path}"],
+    ["run", "--generator", "ring:4", "--out", "{path}"],
+    ["run", "--generator", "ring:4", "--trace", "{path}"],
+    ["run", "--generator", "path:40", "--source", "synthetic", "--trace", "{path}"],
+    ["audit", "--cases", "25", "--seed", "11", "--inject", "drop-msb", "--counterexample", "{path}"],
+]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("where", ["missing-directory", "parent-is-a-file", "directory"])
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=" ".join)
+    def test_unwritable_path_exits_2_before_any_draw(
+        self, capsys, tmp_path, no_draw, argv, where
+    ):
+        (tmp_path / "file").write_text("")
+        path = {
+            "missing-directory": tmp_path / "missing" / "x.txt",
+            "parent-is-a-file": tmp_path / "file" / "x.txt",
+            "directory": tmp_path,
+        }[where]
+        argv = [str(path) if arg == "{path}" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        flag = argv[argv.index(str(path)) - 1]
+        assert f"argument {flag}: {path}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (WRITING_COMMANDS[0], cli, "open"),
+            (WRITING_COMMANDS[-1], audit_mod, "write_counterexample"),
+        ],
+        ids=["fig5a", "audit"],
+    )
+    def test_write_error_exits_2(self, capsys, monkeypatch, tmp_path, argv, module, name):
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(module, name, full, raising=False)
+        argv = [str(tmp_path / "x.txt") if arg == "{path}" else arg for arg in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.splitlines()[-1] == "error: [Errno 28] No space left on device"
 
 
 @pytest.mark.parametrize(
