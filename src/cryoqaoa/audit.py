@@ -14,11 +14,11 @@ bits, collected totals (int64 arrays in ``IsingInstance.entries`` order)
 match the tally, and readout round-trips.  The production pass
 (``counters.counter_pass``, through ``run_proposed``) runs on the case's
 trial array as ``run`` runs it: its sampled energy must equal the bank's
-counter energy exactly, and its ledger must reproduce the bank's bit log,
-flush events and totals.  The first failing trial is reported and the
-failing prefix is kept as the counterexample (checks are per-trial, so
-the prefix up to the divergence is already minimal); past the end of a
-shorter log counts as a divergence.
+counter energy exactly, and its ledger must reproduce the bank's transfer
+log (as ``counters.Flushes`` arrays), totals, total and peak bits.  The
+first failing trial is reported and the failing prefix is kept as the
+counterexample (checks are per-trial, so the prefix up to the divergence
+is already minimal); past the end of a shorter log counts as a divergence.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .ising import IsingInstance, Trials, format_bits, term_indices, trial_array
 
 # Peak bytes of one case per trial per entry of the densest instance on n
 # qubits (n + n(n-1)/2 entries), trial draw included, by tracemalloc (CPython
-# 3.11, numpy 2.4, T = 20000, b = 2, which flushes most): 419 B at n = 1,
-# where the per-trial lists dominate, 162 B at n = 8 and 142 B at n = 16.
+# 3.11, numpy 2.4, T = 20000, b = 2, which flushes most): 372 B at n = 1,
+# where the per-trial lists dominate, 124 B at n = 8 and 117 B at n = 16.
 CASE_BYTES_PER_CELL = 440
 
 
@@ -88,29 +88,28 @@ def check_case(
     # violation(kind, message, trial_index)
     violation = functools.partial(AuditViolation, instance=instance, trials=z, width_b=width_b)
     bank = CounterBank(instance, width_b, fault=fault)
-    bank.event_log = []
     accumulator = RoomTempAccumulator(bank.entry_order)
     entry_order, window, m = bank.entry_order, bank.flush_window, bank.m_in_use
     max_slice = -(-m // window)
     # tallies[t, k]: the direct tally of entry k after trials 0..t
     tallies = np.cumsum(_entry_hits(instance, z), axis=0)
-    bits_log, cold, warm = [], [], []  # bits sent, cold values and warm units after each trial
+    bits, cold, warm = [], [], []  # bits sent, cold values and warm units after each trial
     for row in rows:
         bank.record_trial(row)
-        bits_log.append(bank.flush_msbs(accumulator))
+        bits.append(bank.flush_msbs(accumulator))
         cold.append(bank.values.copy())
         warm.append(list(accumulator.upper_counts.values()))
 
     # tallies are at most T, so a window above T stands in as T + 1 and fits int64
     rebuilt = np.array(warm, dtype=np.int64) * min(window, len(rows) + 1) + np.array(cold)
     off = rebuilt != tallies
-    failed = np.flatnonzero((np.array(bits_log) > max_slice) | off.any(axis=1))
+    failed = np.flatnonzero((np.array(bits) > max_slice) | off.any(axis=1))
     if len(failed):
         t_idx = int(failed[0])
-        if bits_log[t_idx] > max_slice:  # a trial that fails both reports smoothing
+        if bits[t_idx] > max_slice:  # a trial that fails both reports smoothing
             return violation(
                 "smoothing",
-                f"trial {t_idx} sent {bits_log[t_idx]} bits, above ceil(M/2^(b-1)) = {max_slice}",
+                f"trial {t_idx} sent {bits[t_idx]} bits, above ceil(M/2^(b-1)) = {max_slice}",
                 t_idx,
             )
         k = int(np.flatnonzero(off[t_idx])[0])
@@ -122,7 +121,7 @@ def check_case(
         )
 
     if m > 0 and len(rows) >= window:
-        prefix = np.cumsum([0, *bits_log])
+        prefix = np.cumsum([0, *bits])
         bad = np.flatnonzero(prefix[window:] - prefix[:-window] != m)
         if len(bad):
             start = int(bad[0])
@@ -134,8 +133,7 @@ def check_case(
             )
 
     last = len(rows) - 1
-    collection = collect_non_msbs(bank, accumulator)
-    collected, expected = collection.totals, tallies[-1]
+    collected, expected = collect_non_msbs(bank, accumulator), tallies[-1]
     if len(off := np.flatnonzero(collected != expected)):
         k = int(off[0])
         message = f"entry {entry_order[k]}: collected {collected[k]}, direct tally = {expected[k]}"
@@ -143,7 +141,7 @@ def check_case(
 
     # the production pass: one packing per chunk for the sampled energy and the ledger
     ledger = run_proposed(instance, z, width_b)
-    counter_energy = counter_energy_estimate(instance, collection.totals, len(rows))
+    counter_energy = counter_energy_estimate(instance, collected, len(rows))
     if counter_energy != ledger.sampled_energy:
         return violation(
             "energy",
@@ -151,27 +149,40 @@ def check_case(
             last,
         )
 
-    if mismatch := _first_mismatch(ledger.bits_log, tuple(bits_log)):
-        k, ours, theirs = mismatch
-        return violation("ledger", f"trial {k}: ledger sent {ours} bits, bank {theirs}", k)
-    if mismatch := _first_mismatch(ledger.flush_events, tuple(bank.event_log)):
-        k, ours, theirs = mismatch
-        trial = min(event[0] for event in (ours, theirs) if event is not None) - 1
-        return violation("ledger", f"flush {k}: ledger {ours}, bank {theirs}", trial)
-    if not np.array_equal(ledger.totals, collection.totals):
-        return violation(
-            "ledger", f"ledger totals {ledger.totals} != bank totals {collection.totals}", last
-        )
+    ours = ledger.flushes
+    if mismatch := _first_difference(ours.bits, np.array(bits)):
+        k, a, b = mismatch
+        return violation("ledger", f"trial {k}: ledger sent {a} bits, bank {b}", k)
+    # the bank's (trial, entry position, msb) rows against the ledger's columns
+    bank_log = np.fromiter(itertools.chain.from_iterable(bank.log), np.int64).reshape(-1, 3)
+    if mismatch := _first_difference(np.column_stack(ours[:3]), bank_log):
+        k, *found = mismatch
+        a, b = (None if r is None else (r[0], entry_order[r[1]], r[2]) for r in found)
+        trial = min(r[0] for r in found if r is not None) - 1
+        return violation("ledger", f"flush {k}: ledger {a}, bank {b}", trial)
+    if not np.array_equal(ledger.totals, collected):
+        message = f"ledger totals {ledger.totals} != bank totals {collected}"
+        return violation("ledger", message, last)
+    for name, count, bank_count in (
+        ("proposed_total_msb_bits", ledger.total_msb_bits, len(bank_log)),
+        ("proposed_peak_bits_per_trial", ledger.peak_bits_per_trial, max(bits)),
+    ):
+        if count != bank_count:
+            return violation("ledger", f"{name} = {count}, bank {bank_count}", last)
     return None
 
 
-def _first_mismatch(ours: Sequence, theirs: Sequence) -> tuple[int, Any, Any] | None:
-    """The first index where two sequences differ and their items there,
-    None standing in past the end of the shorter one; None if they are equal."""
-    if ours == theirs:
+def _first_difference(ours: np.ndarray, theirs: np.ndarray) -> tuple[int, Any, Any] | None:
+    """The first row where two logs differ and both rows there as Python ints,
+    None past the end of the shorter log (a difference); None if equal."""
+    if np.array_equal(ours, theirs):
         return None
-    pairs = enumerate(itertools.zip_longest(ours, theirs))
-    return next((k, a, b) for k, (a, b) in pairs if a != b)
+    n = min(len(ours), len(theirs))
+    differs = ours[:n] != theirs[:n]
+    if differs.ndim > 1:
+        differs = differs.any(axis=1)
+    k = int(np.flatnonzero(np.append(differs, len(ours) != len(theirs)))[0])
+    return k, *(log[k].tolist() if k < len(log) else None for log in (ours, theirs))
 
 
 def check_readout_roundtrip(b_values: Sequence[int]) -> AuditViolation | None:

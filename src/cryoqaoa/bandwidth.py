@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -94,8 +95,8 @@ class ChosenB(NamedTuple):
 
 def _fits_budget(b: int, t: int, r: float) -> bool:
     """End-of-run collection of b-bit counters fits the overhead budget:
-    b * 2^b < 2*r*T."""
-    return b * (1 << b) < 2 * r * t
+    b * 2^b < 2*r*T, decided exactly for any T."""
+    return b << b < 2 * Fraction(r) * t
 
 
 def choose_b(t: int, r: float) -> ChosenB:

@@ -108,12 +108,14 @@ def _config_line(config: ScenarioConfig) -> str:
 def run_scenario(config: ScenarioConfig, trace: str | None = None) -> dict[str, Any]:
     """Run one scenario point; its summary, keys in the order ``run`` prints.
 
-    The config is validated and its instance built (from its file or its
-    generator) before any trial is drawn.  One ``counters.counter_pass``
-    over lazily drawn trial chunks gives both energies.  The ``--trace``
-    CSV, if asked for, appears once it completes.
+    The config and the ``trace`` path are checked, and the instance built
+    (from its file or its generator), before any trial is drawn.  One
+    ``counters.counter_pass`` over lazily drawn trial chunks gives both
+    energies.  The ``--trace`` CSV, if asked for, appears once it completes.
     """
     config.validate()
+    if trace is not None:
+        _output_path(trace)
     path = config.instance_path()
     instance = make_instance(config.generator) if path is None else load_instance(path)
     n = instance.n_qubits

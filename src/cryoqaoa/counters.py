@@ -31,13 +31,14 @@ It is fed the ``pack_trials`` rows of one chunk of trials at a time (trial
 8j + k in bit k of byte j), and keeps only per-entry state.
 ``counter_pass`` is the one pass that feeds it: it packs each chunk once
 for the ledger and the sampled energy, for ``run`` and for
-``run_proposed``, which also logs every transfer.
+``run_proposed``, which also logs every transfer.  Both transfer logs name
+entries by position: ``Flushes`` arrays and the bank's ``log`` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -64,6 +65,21 @@ class ReadoutEvent:
     recovered_value: int | np.ndarray
 
 
+class Flushes(NamedTuple):
+    """The transfer log of a chunk of trials or of a run, as int64 arrays.
+
+    Slot k sends bit ``msb[k]`` of entry ``entry[k]`` (a position in
+    ``IsingInstance.entries``) right after trial ``trial[k]``, counted from
+    1 over the whole run; ``bits[i]`` is the number of bits sent after the
+    i-th trial of the chunk or run.
+    """
+
+    trial: np.ndarray
+    entry: np.ndarray
+    msb: np.ndarray
+    bits: np.ndarray
+
+
 class RoomTempAccumulator:
     """Warm-side upper bits: one unit per received MSB, worth 2^(b-1) counts,
     seeded with 0 units per entry of ``entry_order`` in that order."""
@@ -78,7 +94,8 @@ class RoomTempAccumulator:
 class CounterBank:
     """Cold-side entries for ``instance.entries`` plus the flush schedule state.
 
-    ``values[k]`` is the b-bit cold value of entry ``entry_order[k]``.
+    ``values[k]`` is the b-bit cold value of entry ``entry_order[k]``, and
+    ``log`` lists every transfer as (trial, entry position, msb).
     ``fault`` is a test hook: "drop-msb" silently discards the first set
     MSB instead of crediting the accumulator, modeling a lost transfer.
     """
@@ -103,8 +120,7 @@ class CounterBank:
         self._fault_pending = fault == "drop-msb"
         self._slots_issued = 0
         self._cursor = 0
-        # When set to a list, flush_msbs appends (trial, entry_id, msb_bit).
-        self.event_log: list[tuple[int, EntryId, int]] | None = None
+        self.log: list[tuple[int, int, int]] = []
 
     def record_trial(self, z: BitString) -> None:
         """Apply one measured bitstring: +1 per set qubit entry, +1 per
@@ -138,16 +154,14 @@ class CounterBank:
         bits = target - self._slots_issued
         for _ in range(bits):
             k = self._cursor
-            e = self.entry_order[k]
             msb = int(self.values[k] >= half)
             if msb:
                 self.values[k] -= half
                 if self._fault_pending:
                     self._fault_pending = False
                 else:
-                    accumulator.add_unit(e)
-            if self.event_log is not None:
-                self.event_log.append((self.trial_index, e, msb))
+                    accumulator.add_unit(self.entry_order[k])
+            self.log.append((self.trial_index, k, msb))
             self._cursor = (k + 1) % m
         self._slots_issued = target
         return bits
@@ -166,23 +180,17 @@ def readout(width_b: int, value: int | np.ndarray) -> ReadoutEvent:
     return ReadoutEvent(pulse_count=pulse_count, recovered_value=size - pulse_count)
 
 
-@dataclass(frozen=True)
-class CollectionResult:
-    totals: np.ndarray  # int64, one tally per entry, in entry order
-    events: tuple[ReadoutEvent, ...]
-
-
-def collect_non_msbs(bank: CounterBank, accumulator: RoomTempAccumulator) -> CollectionResult:
-    """Read every in-use entry sequentially, clear it, and reconstruct its
-    tally: totals[k] = warm-side units * 2^(b-1) + residual value of entry k."""
-    half = bank.flush_window
-    events = [readout(bank.width_b, v) for v in bank.values]
-    bank.values[:] = [0] * bank.m_in_use
+def collect_non_msbs(bank: CounterBank, accumulator: RoomTempAccumulator) -> np.ndarray:
+    """Read every in-use entry sequentially through ``readout``, clear it,
+    and reconstruct its tally: an int64 array in entry order, warm-side
+    units * 2^(b-1) + residual value of each entry."""
+    units, half = accumulator.upper_counts, bank.flush_window
     totals = [
-        accumulator.upper_counts.get(e, 0) * half + event.recovered_value
-        for e, event in zip(bank.entry_order, events)
+        units.get(e, 0) * half + readout(bank.width_b, v).recovered_value
+        for e, v in zip(bank.entry_order, bank.values)
     ]
-    return CollectionResult(totals=np.array(totals, dtype=np.int64), events=tuple(events))
+    bank.values[:] = [0] * bank.m_in_use
+    return np.array(totals, dtype=np.int64)
 
 
 def counter_energy_estimate(instance: IsingInstance, totals: np.ndarray, t: int) -> Coeff:
@@ -225,31 +233,13 @@ class ProposedRun:
     energy: Coeff  # from the counter tallies
     sampled_energy: Coeff  # of the same pass
     totals: np.ndarray  # int64, in entry order
-    bits_log: tuple[int, ...]
+    flushes: Flushes  # every transfer of the run
     peak_bits_per_trial: int
     total_msb_bits: int
-    m_in_use: int
-    flush_events: tuple[tuple[int, EntryId, int], ...]
 
 
 class LedgerError(RuntimeError):
     """The closed-form ledger derived an impossible transfer."""
-
-
-@dataclass(frozen=True)
-class Flushes:
-    """The MSB transfers of one chunk of trials, as parallel arrays.
-
-    Slot k sends bit ``msb[k]`` of entry ``entry[k]`` (a position in the
-    ledger's entry order) right after trial ``trial[k]``, counted from 1
-    over the whole run; ``bits[i]`` is the number of bits sent after the
-    chunk's i-th trial.
-    """
-
-    trial: np.ndarray
-    entry: np.ndarray
-    msb: np.ndarray
-    bits: np.ndarray
 
 
 class Ledger:
@@ -363,24 +353,16 @@ def run_proposed(
     width_b: int,
 ) -> ProposedRun:
     """``counter_pass`` over the ``trial_chunks`` of a nonempty trial array,
-    logging every transfer, then collect and estimate."""
-    bits_log: list[int] = []
-    events: list[tuple[int, EntryId, int]] = []
-
-    def log(flushes: Flushes, first: int) -> None:
-        bits_log.extend(flushes.bits.tolist())
-        entries = [instance.entries[e] for e in flushes.entry.tolist()]
-        events.extend(zip(flushes.trial.tolist(), entries, flushes.msb.tolist()))
-
-    sampled, ledger = counter_pass(instance, trial_chunks(trials, instance.n_qubits), width_b, log)
+    joining its chunks' transfers into one log, then collect and estimate."""
+    parts: list[Flushes] = []
+    chunks = trial_chunks(trials, instance.n_qubits)
+    sampled, ledger = counter_pass(instance, chunks, width_b, lambda f, _: parts.append(f))
     totals = ledger.collect()
     return ProposedRun(
         energy=counter_energy_estimate(instance, totals, ledger.trial_count),
         sampled_energy=sampled,
         totals=totals,
-        bits_log=tuple(bits_log),
+        flushes=Flushes(*map(np.concatenate, zip(*parts))),
         peak_bits_per_trial=ledger.peak_bits_per_trial,
         total_msb_bits=ledger.total_msb_bits,
-        m_in_use=ledger.m_in_use,
-        flush_events=tuple(events),
     )

@@ -40,6 +40,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .config import _int_at_least
+
 Coeff = int | float | Fraction
 EntryId = int | tuple[int, int]  # a counter entry: a qubit index or a pair (i, j), i < j
 BitString = Sequence[int]
@@ -370,9 +372,9 @@ def make_instance(spec: str) -> IsingInstance:
     if not arg:
         raise ValueError(f"generator spec {spec!r} needs a size, e.g. 'ring:8'")
     try:
-        n = int(arg)
-    except ValueError:
-        raise ValueError(f"generator size {arg!r} is not an integer") from None
+        n = _int_at_least(1)(arg)
+    except ValueError as error:
+        raise ValueError(f"generator size {error}") from None
     generators = {  # builder, pair term count
         "ring": (ring_instance, n),
         "path": (worstcase_instance, n - 1),

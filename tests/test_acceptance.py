@@ -166,12 +166,12 @@ def test_criterion_5_exactness(randomized_suite):
 @criterion(6, "per-trial sends bounded by ceil(M/2^(b-1)); every window carries M bits")
 def test_criterion_6_smoothing(randomized_suite):
     for instance, trials, b, result, _ in randomized_suite:
-        m = result.m_in_use
+        m = len(result.totals)
         window = 1 << (b - 1)
         if m:
             assert result.peak_bits_per_trial <= math.ceil(m / window)
         prefix = [0]
-        for bits in result.bits_log:
+        for bits in result.flushes.bits.tolist():
             prefix.append(prefix[-1] + bits)
         for start in range(len(trials) - window + 1):
             assert prefix[start + window] - prefix[start] == m

@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -164,6 +165,15 @@ class TestRun:
         assert (code, out) == (2, "")
         assert err == (
             f"error: counter_bits={width} is too wide: its collection window "
+            "b*2^(b-1)*t_QC overflows a float at t_QC = 760.0 ns\n"
+        )
+
+    def test_trial_count_beyond_float_range_exits_2(self, capsys, no_draw):
+        # the auto width for T = 1e400 is 1315 bits, whose collection window overflows
+        code, out, err = run_cli(capsys, "run", "--generator", "ring:4", "--trials", "1e400")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: counter_bits=1315 is too wide: its collection window "
             "b*2^(b-1)*t_QC overflows a float at t_QC = 760.0 ns\n"
         )
 
@@ -340,12 +350,13 @@ class TestRun:
         assert code == 0
         assert t * 40 > CHUNK_CELLS
         inst = worstcase_instance(40)
-        proposed = run_proposed(inst, _whole_draw(0.3, t, 40, 12), b)
+        trial, entry, msb, bits = run_proposed(inst, _whole_draw(0.3, t, 40, 12), b).flushes
+        names = [f"{i}-{j}" for i, j in inst.entries]
         expected = [
-            f"{trial},{proposed.bits_log[trial - 1]},{i}-{j},msb{msb}"
-            for trial, (i, j), msb in proposed.flush_events
+            f"{r},{bits[r - 1]},{names[k]},msb{v}"
+            for r, k, v in zip(trial.tolist(), entry.tolist(), msb.tolist())
         ]
-        expected += [f"{t},{b},{i}-{j},readout" for i, j in inst.entries]
+        expected += [f"{t},{b},{name},readout" for name in names]
         assert trace.read_text().splitlines()[2:] == expected
 
     def test_failed_synthetic_run_joins_its_worker(self, capsys, monkeypatch, tmp_path):
@@ -559,6 +570,20 @@ class TestRunScenario:
     def test_config_without_one_source_raises_before_any_draw(self, no_draw, config):
         with pytest.raises(ValueError, match="exactly one of 'instance' and 'generator'"):
             cli.run_scenario(config)
+
+    def test_unwritable_trace_raises_naming_it_before_any_build(
+        self, no_draw, monkeypatch, tmp_path
+    ):
+        def forbidden(spec):
+            raise AssertionError("built an instance before checking the trace path")
+
+        monkeypatch.setattr(cli, "make_instance", forbidden)
+        trace = tmp_path / "missing" / "t.csv"
+        message = f"{trace}: {trace.parent} is not an existing directory"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli.run_scenario(ScenarioConfig(generator="ring:4", trials=10), str(trace))
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path} is a directory")):
+            cli.run_scenario(ScenarioConfig(generator="ring:4", trials=10), str(tmp_path))
 
     def test_readme_library_example_runs(self, monkeypatch):
         section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1]
@@ -979,6 +1004,13 @@ class TestFig5a:
         assert by_key[("10000000", "0.05")][2] == "15"
         assert 1 - float(by_key[("10000000", "0.05")][3]) >= 0.9999
 
+    def test_trial_count_beyond_float_range(self, capsys):
+        # T = 1e400 does not fit a float; the budget comparison stays exact
+        code, out, err = run_cli(capsys, "fig5a", "--t-list", "1e400", "--r-grid", "0.05")
+        assert (code, err) == (0, "")
+        row = out.splitlines()[2].split(",")
+        assert row[:3] == [str(10**400), "0.05", "1315"]
+
     def test_single_point_grid(self, capsys):
         code, out, _ = run_cli(capsys, "fig5a", "--t-list", "1000", "--r-grid", "0.05")
         assert code == 0
@@ -1182,22 +1214,21 @@ class TestAudit:
     def test_diverging_ledger_named_with_its_trial(
         self, capsys, monkeypatch, tmp_path, skew, message
     ):
-        import dataclasses
-
         import cryoqaoa.audit as audit
 
         real = audit.run_proposed
 
         def skewed(*args, **kwargs):
             result = real(*args, **kwargs)
+            trial, entry, msb, bits = result.flushes
             if skew == "event dropped":
-                return dataclasses.replace(result, flush_events=result.flush_events[:-1])
-            log = list(result.bits_log)
-            if skew == "bit-log entry added":
-                log.append(0)
+                trial, entry, msb = trial[:-1], entry[:-1], msb[:-1]
+            elif skew == "bit-log entry added":
+                bits = np.append(bits, 0)
             else:
-                log[min(3, len(log) - 1)] += 1
-            return dataclasses.replace(result, bits_log=tuple(log))
+                bits = bits.copy()
+                bits[min(3, len(bits) - 1)] += 1
+            return replace(result, flushes=Flushes(trial, entry, msb, bits))
 
         monkeypatch.setattr(audit, "run_proposed", skewed)
         dump = tmp_path / "cex.txt"
@@ -1207,6 +1238,37 @@ class TestAudit:
         assert code == 1
         assert err.splitlines()[0] == f"invariant violation [ledger] {message}"
         assert "kind = ledger" in dump.read_text()
+
+    def test_total_msb_bits_checked_against_the_bank(self, capsys, monkeypatch, tmp_path):
+        # T*M // W rounded up: the log is right, only the printed count is off
+        rounded_up = property(lambda self: -(-self.trial_count * self.m_in_use // self.window))
+        monkeypatch.setattr(Ledger, "total_msb_bits", rounded_up)
+        code, _, err = run_cli(
+            capsys, "audit", "--cases", "5", "--seed", "2", "--counterexample", str(tmp_path / "c")
+        )
+        assert code == 1
+        assert err.splitlines()[0] == (
+            "invariant violation [ledger] at trial 40: "
+            "proposed_total_msb_bits = 13, bank 12"
+        )
+
+    def test_peak_bits_per_trial_checked_against_the_bank(self, capsys, monkeypatch, tmp_path):
+        real = Ledger.feed
+
+        def one_too_many(ledger, q, rows):
+            flushes = real(ledger, q, rows)
+            ledger.peak_bits_per_trial = int(flushes.bits.max()) + 1
+            return flushes
+
+        monkeypatch.setattr(Ledger, "feed", one_too_many)
+        code, _, err = run_cli(
+            capsys, "audit", "--cases", "5", "--seed", "2", "--counterexample", str(tmp_path / "c")
+        )
+        assert code == 1
+        assert err.splitlines()[0] == (
+            "invariant violation [ledger] at trial 40: "
+            "proposed_peak_bits_per_trial = 2, bank 1"
+        )
 
     def test_each_case_packs_its_trials_once(self, monkeypatch):
         import cryoqaoa.audit as audit

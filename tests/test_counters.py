@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -42,30 +41,31 @@ def direct_tallies(instance, trials):
 
 
 def drive_bank(instance, trials, b):
-    """Reference run: step a CounterBank trial by trial, then collect."""
+    """Reference run: step a CounterBank trial by trial, then collect.
+    Returns the bits sent per trial, the bank's transfer log, the cold
+    values before collection and the collected totals."""
     bank = CounterBank(instance, b)
-    bank.event_log = []
     acc = RoomTempAccumulator()
-    bits_log = []
+    bits = []
     for z in trials:
         bank.record_trial(z)
-        bits_log.append(bank.flush_msbs(acc))
-    collection = collect_non_msbs(bank, acc)
-    return tuple(bits_log), tuple(bank.event_log), collection
+        bits.append(bank.flush_msbs(acc))
+    residuals = list(bank.values)
+    return bits, bank.log, residuals, collect_non_msbs(bank, acc)
 
 
 def assert_ledger_matches_bank(instance, trials, b):
     result = run_proposed(instance, trials, width_b=b)
-    bits_log, events, collection = drive_bank(instance, trials, b)
-    assert result.bits_log == bits_log
-    assert result.flush_events == events
-    np.testing.assert_array_equal(result.totals, collection.totals)
+    bits, log, residuals, totals = drive_bank(instance, trials, b)
+    flushes = result.flushes
+    assert flushes.bits.tolist() == bits
+    assert list(zip(*(column.tolist() for column in flushes[:3]))) == log
+    np.testing.assert_array_equal(result.totals, totals)
     # the ledger's residual (total less its MSB units) is the bank's readout
-    units = Counter(e for _, e, msb in result.flush_events if msb)
+    units = np.bincount(flushes.entry[flushes.msb == 1], minlength=len(instance.entries))
     window = 1 << (b - 1)
-    totals = result.totals.tolist()
-    residuals = [total - units[e] * window for e, total in zip(instance.entries, totals)]
-    assert residuals == [event.recovered_value for event in collection.events]
+    ledger_residuals = [total - u * window for u, total in zip(units.tolist(), totals.tolist())]
+    assert ledger_residuals == [readout(b, v).recovered_value for v in residuals]
 
 
 class TestBankConstruction:
@@ -155,7 +155,7 @@ class TestFlush:
         result = run_proposed(inst, trials, width_b=3)
         window = 4
         for start in range(len(trials) - window + 1):
-            assert sum(result.bits_log[start : start + window]) == 5
+            assert sum(result.flushes.bits[start : start + window]) == 5
         assert result.peak_bits_per_trial <= math.ceil(5 / window)
 
     def test_idempotent_within_a_boundary(self):
@@ -189,10 +189,10 @@ class TestReadout:
         for _ in range(17):
             bank.record_trial((1, 0))
         assert bank.values == [17, 0, 17]
-        result = collect_non_msbs(bank, RoomTempAccumulator())
+        totals = collect_non_msbs(bank, RoomTempAccumulator())
         assert bank.values == [0, 0, 0]
-        assert [event.recovered_value for event in result.events] == [17, 0, 17]
-        assert result.totals.tolist() == [17, 0, 17]
+        assert totals.dtype == np.int64
+        assert totals.tolist() == [17, 0, 17]
 
     def test_ints_give_ints_and_arrays_give_arrays(self):
         event = readout(70, (1 << 70) - 1)
@@ -220,8 +220,7 @@ class TestReadout:
 class TestCollection:
     def test_no_trials_all_zero(self):
         bank = CounterBank(IsingInstance(3, linear={0: 1, 1: 1, 2: 1}), 3)
-        result = collect_non_msbs(bank, RoomTempAccumulator())
-        assert result.totals.tolist() == [0, 0, 0]
+        assert collect_non_msbs(bank, RoomTempAccumulator()).tolist() == [0, 0, 0]
 
     def test_path_instance_matches_oracle(self):
         inst = worstcase_instance(5)
@@ -237,7 +236,7 @@ class TestCollection:
         result = run_proposed(inst, [(1,)] * t, width_b=b)
         assert result.totals[0] == t
         # every count came warm-side, so the residual read out is 0
-        assert sum(msb for *_, msb in result.flush_events) << (b - 1) == t
+        assert int(result.flushes.msb.sum()) << (b - 1) == t
 
 
 class TestEnergyEstimate:
@@ -335,11 +334,11 @@ def test_reconstruction_exact_at_every_trial(case):
 def test_smoothing_bounds(case):
     instance, trials, b = case
     result = run_proposed(instance, trials, width_b=b)
-    m = result.m_in_use
+    m = len(result.totals)
     window = 1 << (b - 1)
     assert result.peak_bits_per_trial <= math.ceil(m / window) if m else True
     for start in range(len(trials) - window + 1):
-        assert sum(result.bits_log[start : start + window]) == m
+        assert sum(result.flushes.bits[start : start + window]) == m
 
 
 def test_windowed_peak_rate_matches_reduction_ratio():
@@ -352,12 +351,12 @@ def test_windowed_peak_rate_matches_reduction_ratio():
     result = run_proposed(inst, trials, width_b=b)
     window = 1 << (b - 1)
     peak_window_bits = max(
-        sum(result.bits_log[s : s + window])
+        sum(result.flushes.bits[s : s + window])
         for s in range(len(trials) - window + 1)
     )
     proposed_peak_bps = peak_window_bits / (window * t_qc_ns) * 1e9
     baseline_peak_bps = inst.n_qubits / t_qc_ns * 1e9
-    ratio = result.m_in_use / (inst.n_qubits * window)
+    ratio = len(result.totals) / (inst.n_qubits * window)
     assert proposed_peak_bps <= baseline_peak_bps * ratio * (1 + 1e-9)
 
 
@@ -365,7 +364,7 @@ def test_uneven_slice_sizes_still_cover_every_entry():
     # M = 5, window = 4: slices alternate 1 and 2 entries per trial
     inst = IsingInstance(5, linear={i: 1 for i in range(5)})
     result = run_proposed(inst, [(1, 0, 1, 1, 0)] * 40, width_b=3)
-    assert set(result.bits_log) == {1, 2}
+    assert set(result.flushes.bits.tolist()) == {1, 2}
     assert result.totals.tolist() == direct_tallies(inst, [(1, 0, 1, 1, 0)] * 40)
 
 
@@ -393,7 +392,10 @@ def test_event_log_records_flushes():
     inst = IsingInstance(2, pairs={(0, 1): 1})
     result = run_proposed(inst, [(1, 0)] * 8, width_b=3)
     # M=1, window=4: flush slots at trials 4 and 8, both with MSB set
-    assert [(t, msb) for t, _, msb in result.flush_events] == [(4, 1), (8, 1)]
+    flushes = result.flushes
+    assert (flushes.trial.tolist(), flushes.entry.tolist()) == ([4, 8], [0, 0])
+    assert flushes.msb.tolist() == [1, 1]
+    assert flushes.bits.tolist() == [0, 0, 0, 1, 0, 0, 0, 1]
 
 
 @given(instance_and_trials())
@@ -401,15 +403,14 @@ def test_event_log_records_flushes():
 def test_entry_below_half_after_its_own_flush(case):
     instance, trials, b = case
     bank = CounterBank(instance, b)
-    bank.event_log = []
     acc = RoomTempAccumulator()
     half = bank.flush_window
     for z in trials:
-        seen = len(bank.event_log)
+        seen = len(bank.log)
         bank.record_trial(z)
         bank.flush_msbs(acc)
-        for _, entry_id, _ in bank.event_log[seen:]:
-            assert bank.values[bank.entry_order.index(entry_id)] < half
+        for _, k, _ in bank.log[seen:]:
+            assert bank.values[k] < half
 
 
 @given(instance_and_trials())
@@ -437,17 +438,14 @@ def test_ledger_fed_uneven_chunks_matches_whole_array(b):
     ledger = Ledger(inst, b)
     singles, pairs = term_indices(inst)
     counts = np.zeros(len(singles) + len(pairs), dtype=np.int64)
-    bits_log, events = [], []
+    parts = []
     for rows in np.split(trials, [1, 334]):
         q = pack_trials(rows)
         counts += term_counts(q, singles, pairs)
-        flushes = ledger.feed(q, len(rows))
-        bits_log += flushes.bits.tolist()
-        entries = [ledger.entry_order[e] for e in flushes.entry.tolist()]
-        events += zip(flushes.trial.tolist(), entries, flushes.msb.tolist())
+        parts.append(ledger.feed(q, len(rows)))
     totals = ledger.collect()
-    assert tuple(bits_log) == whole.bits_log
-    assert tuple(events) == whole.flush_events
+    for column, joined in zip(zip(*parts), whole.flushes):
+        np.testing.assert_array_equal(np.concatenate(column), joined)
     np.testing.assert_array_equal(totals, whole.totals)
     assert (ledger.peak_bits_per_trial, ledger.total_msb_bits) == (
         whole.peak_bits_per_trial,
@@ -471,7 +469,8 @@ def test_ledger_accepts_rows_and_arrays_alike():
     rows = [(1, 0, 1), (0, 1, 1), (1, 1, 0)]
     a = run_proposed(inst, rows, width_b=2)
     b = run_proposed(inst, np.array(rows, dtype=np.uint8), width_b=2)
-    assert (a.bits_log, a.flush_events) == (b.bits_log, b.flush_events)
+    for ours, theirs in zip(a.flushes, b.flushes):
+        np.testing.assert_array_equal(ours, theirs)
     np.testing.assert_array_equal(a.totals, b.totals)
     with pytest.raises(ValueError, match="n_qubits"):
         run_proposed(inst, [(1, 0)], width_b=2)
@@ -482,7 +481,7 @@ def test_ledger_width_beyond_int64():
     inst = IsingInstance(3, linear={0: 1}, pairs={(1, 2): -2})
     trials = [(1, 0, 1), (1, 1, 1), (0, 1, 0)]
     assert_ledger_matches_bank(inst, trials, 70)
-    assert run_proposed(inst, trials, width_b=70).bits_log == (0, 0, 0)
+    assert run_proposed(inst, trials, width_b=70).flushes.bits.tolist() == [0, 0, 0]
 
 
 def test_every_consumer_follows_instance_entries(tmp_path):

@@ -72,13 +72,14 @@ def test_synthetic_trace_equals_ledger_events(capsys, tmp_path, op_seed):
     # the trials of one whole draw, independent of the chunked source that `run` uses
     trials = (np.random.default_rng(op_seed).random((t, 750)) < 0.5).view(np.uint8)
     inst = worstcase_instance(750)
-    proposed = run_proposed(inst, trials, b)
+    trial, entry, msb, bits = run_proposed(inst, trials, b).flushes
+    names = [f"{i}-{j}" for i, j in inst.entries]
     rows = [out.splitlines()[0], "trial,bits_sent,entry_id,event"]
     rows += [
-        f"{trial},{proposed.bits_log[trial - 1]},{i}-{j},msb{msb}"
-        for trial, (i, j), msb in proposed.flush_events
+        f"{r},{bits[r - 1]},{names[k]},msb{v}"
+        for r, k, v in zip(trial.tolist(), entry.tolist(), msb.tolist())
     ]
-    rows += [f"{t},{b},{i}-{j},readout" for i, j in inst.entries]
+    rows += [f"{t},{b},{name},readout" for name in names]
     trace = Path(argv[argv.index("--trace") + 1]).read_bytes()
     assert trace == "".join(row + "\n" for row in rows).encode()
 

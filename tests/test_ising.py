@@ -144,6 +144,9 @@ class TestGenerators:
     def test_make_instance_specs(self):
         assert make_instance("ring:8").c_count == 8
         assert make_instance("path:5").c_count == 4
+        assert make_instance("path:1e3") == make_instance("path:1000")
+        with pytest.raises(ValueError, match="generator size must be an integer >= 1, got 1.5"):
+            make_instance("ring:1.5")
         with pytest.raises(ValueError, match="unknown generator"):
             make_instance("torus:4")
         with pytest.raises(ValueError, match="size"):
