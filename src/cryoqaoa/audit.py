@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -39,14 +38,14 @@ from .counters import (
     readout,
     run_proposed,
 )
-from .ising import IsingInstance, Trials, format_bits, term_indices, trial_array
+from .ising import IsingInstance, Trials, format_bits, require_memory, term_indices, trial_array
 
 
 # Peak bytes of one case per trial per entry of the densest instance on n
 # qubits (n + n(n-1)/2 entries), trial draw included, by tracemalloc (CPython
-# 3.11, numpy 2.4, T = 20000, b = 2, which flushes most): 372 B at n = 1,
-# where the per-trial lists dominate, 124 B at n = 8 and 117 B at n = 16.
-CASE_BYTES_PER_CELL = 440
+# 3.11, numpy 2.4, T = 20000, b = 2, which flushes most): 220 B at n = 1,
+# where the per-trial rows dominate, 105 B at n = 8 and 101 B at n = 16.
+CASE_BYTES_PER_CELL = 240
 
 
 @dataclass(frozen=True)
@@ -93,16 +92,17 @@ def check_case(
     max_slice = -(-m // window)
     # tallies[t, k]: the direct tally of entry k after trials 0..t
     tallies = np.cumsum(_entry_hits(instance, z), axis=0)
-    bits, cold, warm = [], [], []  # bits sent, cold values and warm units after each trial
+    bits, cold, warm = [], [], []  # after each trial: bits sent, cold values, warm units
+    units = accumulator.upper_counts.values()
     for row in rows:
         bank.record_trial(row)
         bits.append(bank.flush_msbs(accumulator))
-        cold.append(bank.values.copy())
-        warm.append(list(accumulator.upper_counts.values()))
+        cold += bank.values
+        warm += units
+    cold, warm = (np.array(log, dtype=np.int64).reshape(len(rows), m) for log in (cold, warm))
 
     # tallies are at most T, so a window above T stands in as T + 1 and fits int64
-    rebuilt = np.array(warm, dtype=np.int64) * min(window, len(rows) + 1) + np.array(cold)
-    off = rebuilt != tallies
+    off = warm * min(window, len(rows) + 1) + cold != tallies
     failed = np.flatnonzero((np.array(bits) > max_slice) | off.any(axis=1))
     if len(failed):
         t_idx = int(failed[0])
@@ -113,7 +113,7 @@ def check_case(
                 t_idx,
             )
         k = int(np.flatnonzero(off[t_idx])[0])
-        ours = warm[t_idx][k] * window + cold[t_idx][k]
+        ours = int(warm[t_idx, k]) * window + int(cold[t_idx, k])
         return violation(
             "reconstruction",
             f"entry {entry_order[k]}: warm+cold = {ours}, direct tally = {tallies[t_idx, k]}",
@@ -256,7 +256,13 @@ def run_audit(
     exhaustive: bool = False,
     inject: str | None = None,
 ) -> AuditResult:
-    """Run the invariant suite; stops at the first violation."""
+    """Run the invariant suite; stops at the first violation.  A suite whose
+    largest random case would not fit in physical memory is refused first."""
+    cells = t_max * (n_max + n_max * (n_max - 1) // 2)
+    require_memory(
+        cells * CASE_BYTES_PER_CELL,
+        f"t_max {t_max} at n_max {n_max}: a case of up to {cells} trial-entry cells",
+    )
     rng = np.random.default_rng(seed)
     cases_run = 0
 
@@ -300,8 +306,8 @@ def run_audit(
     return AuditResult(True, cases_run, None)
 
 
-def write_counterexample(path: str | Path, violation: AuditViolation) -> None:
-    """Dump the minimal failing prefix in re-runnable form."""
+def counterexample_lines(violation: AuditViolation) -> list[str]:
+    """The minimal failing prefix in re-runnable form, one line each."""
     lines = [
         f"kind = {violation.kind}",
         f"message = {violation.message}",
@@ -319,4 +325,4 @@ def write_counterexample(path: str | Path, violation: AuditViolation) -> None:
     end = None if violation.trial_index is None else violation.trial_index + 1
     for z in violation.trials[:end]:
         lines.append(format_bits(z))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return lines

@@ -19,13 +19,14 @@ synthetic source (``qaoa.synthetic_chunks``) draws chunk k+1 on a worker
 thread while the pass packs, counts, feeds the ledger and traces chunk k.
 The ``--trace`` rows of a chunk are formatted together as one byte table.
 
-Output is written line by line as it is produced.  ``fig5b`` prices its
-whole sweep in one ``power.system_comparison`` call, whose report fields
-are numpy columns, and formats the CSV rows from those columns a block of
-``_BLOCK_ROWS`` rows at a time: it holds the Python objects of one block
-at most, and never the whole file.  ``main`` builds the argument parser
-on its first call and keeps it; it dispatches to ``cmd_<command>`` by
-name at each call.
+Output is written line by line as it is produced, and a file only through
+``_replace_on_success``, so it appears once it is complete.  ``fig5b``
+prices its whole sweep in one ``power.system_comparison`` call, whose
+report fields are numpy columns, and formats the CSV rows from those
+columns a block of ``_BLOCK_ROWS`` rows at a time: it holds the Python
+objects of one block at most, and never the whole file.  ``main`` builds
+the argument parser on its first call and keeps it; it dispatches to
+``cmd_<command>`` by name at each call.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .config import (
     load_scenario,
     resolved_items,
 )
-from .ising import load_instance, make_instance, physical_memory
+from .ising import load_instance, make_instance, require_memory
 from .timing import ExecutionProfile
 
 
@@ -63,15 +64,37 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+@contextmanager
+def _replace_on_success(path: str | None) -> Iterator[BinaryIO | None]:
+    """A binary file that appears at ``path`` only if the block completes;
+    the one way the package writes a file.
+
+    It is written as a sibling temporary file and renamed at the end, so a
+    run that fails midway leaves no partial file behind.  Yields None when
+    ``path`` is None.
+    """
+    if path is None:
+        yield None
+        return
+    partial = Path(f"{path}.tmp")
+    try:
+        with partial.open("wb") as handle:
+            yield handle
+        partial.replace(path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def _emit(lines: Iterable[str], out: str | None, quiet: bool) -> None:
-    """Write each line to ``out``, or to stdout, as it is produced."""
+    """Write each line to stdout as it is produced, or to ``out`` through
+    ``_replace_on_success``, so the file appears only once it is whole."""
     if out is None:
         sys.stdout.writelines(f"{line}\n" for line in lines)
-    else:
-        with open(out, "w") as handle:
-            handle.writelines(f"{line}\n" for line in lines)
-        if not quiet:
-            print(f"wrote {out}")
+        return
+    with _replace_on_success(out) as handle:
+        handle.writelines(f"{line}\n".encode() for line in lines)
+    if not quiet:
+        print(f"wrote {out}")
 
 
 def _csv_lines(
@@ -209,26 +232,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextmanager
-def _replace_on_success(path: str | None) -> Iterator[BinaryIO | None]:
-    """A binary file that appears at ``path`` only if the block completes.
-
-    It is written as a sibling temporary file and renamed at the end, so a
-    run that fails midway leaves no partial file behind.  Yields None when
-    ``path`` is None.
-    """
-    if path is None:
-        yield None
-        return
-    partial = Path(f"{path}.tmp")
-    try:
-        with partial.open("wb") as handle:
-            yield handle
-        partial.replace(path)
-    finally:
-        partial.unlink(missing_ok=True)
-
-
 def _row_tails(names: Sequence[str]) -> np.ndarray:
     """The trace row ends ``,{name},msb{0|1}\\n`` of every entry name, as a
     (2M, width) uint8 table padded with zero bytes; row 2e + msb ends the
@@ -308,13 +311,11 @@ def cmd_fig5b(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-max {args.n_max} below --n-min {args.n_min}")
     if args.n_max > power.MAX_SWEEP_N:
         raise ValueError(f"--n-max {args.n_max} above {power.MAX_SWEEP_N}")
+    # before np.arange, so a refused sweep allocates nothing
     count = args.n_max - args.n_min + 1
-    needed, memory = count * power.SWEEP_BYTES_PER_N, physical_memory()
-    if needed > memory:
-        raise ValueError(
-            f"--n-max {args.n_max}: a sweep of {count} qubit counts needs about {needed} "
-            f"bytes, more than physical memory ({memory} bytes)"
-        )
+    require_memory(
+        count * power.SWEEP_BYTES_PER_N, f"--n-max {args.n_max}: a sweep of {count} qubit counts"
+    )
     comparison = power.system_comparison(
         np.arange(args.n_min, args.n_max + 1), b_policy=args.b_policy
     )
@@ -351,14 +352,6 @@ def cmd_fig5b(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     if args.b_max < args.b_min:
         raise ValueError(f"--b-max {args.b_max} below --b-min {args.b_min}")
-    # before run_audit's first draw, so a refused call draws nothing
-    cells = args.t_max * (args.n_max + args.n_max * (args.n_max - 1) // 2)
-    needed, memory = cells * audit_mod.CASE_BYTES_PER_CELL, physical_memory()
-    if needed > memory:
-        raise ValueError(
-            f"--t-max {args.t_max} at --n-max {args.n_max}: a case of up to {cells} trial-entry "
-            f"cells needs about {needed} bytes, more than physical memory ({memory} bytes)"
-        )
     result = audit_mod.run_audit(
         cases=args.cases,
         n_max=args.n_max,
@@ -381,7 +374,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     dump = args.counterexample or "audit-counterexample.txt"
-    audit_mod.write_counterexample(dump, violation)
+    _emit(audit_mod.counterexample_lines(violation), dump, quiet=True)
     print(f"counterexample written to {dump}", file=sys.stderr)
     return 1
 

@@ -351,8 +351,18 @@ def complete_instance(n: int) -> IsingInstance:
 
 
 def physical_memory() -> int:
-    """Bytes of physical memory, the bound of the size guards."""
+    """Bytes of physical memory, the bound of ``require_memory``."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_memory(needed: int, what: str) -> None:
+    """Refuse work of about ``needed`` bytes that physical memory cannot
+    hold; the one size guard of the package, called before it allocates."""
+    memory = physical_memory()
+    if needed > memory:
+        raise ValueError(
+            f"{what} needs about {needed} bytes, more than physical memory ({memory} bytes)"
+        )
 
 
 # Peak bytes per pair term while a generator builds its instance, by
@@ -371,10 +381,7 @@ def make_instance(spec: str) -> IsingInstance:
     name, _, arg = spec.partition(":")
     if not arg:
         raise ValueError(f"generator spec {spec!r} needs a size, e.g. 'ring:8'")
-    try:
-        n = _int_at_least(1)(arg)
-    except ValueError as error:
-        raise ValueError(f"generator size {error}") from None
+    n = _int_field("generator size", 1, arg)
     generators = {  # builder, pair term count
         "ring": (ring_instance, n),
         "path": (worstcase_instance, n - 1),
@@ -384,13 +391,7 @@ def make_instance(spec: str) -> IsingInstance:
     if name not in generators:
         raise ValueError(f"unknown generator {name!r}; choose from {sorted(generators)}")
     build, terms = generators[name]
-    memory = physical_memory()
-    if terms * GENERATOR_BYTES_PER_TERM > memory:
-        raise ValueError(
-            f"generator {spec!r} has {terms} pair terms, about "
-            f"{terms * GENERATOR_BYTES_PER_TERM} bytes to build, "
-            f"more than physical memory ({memory} bytes)"
-        )
+    require_memory(terms * GENERATOR_BYTES_PER_TERM, f"generator {spec!r} with {terms} pair terms")
     return build(n)
 
 
@@ -419,11 +420,13 @@ def _parse_coeff(text: str) -> Coeff:
     return value
 
 
-def _parse_int(text: str, what: str) -> int:
+def _int_field(what: str, low: int, text: str) -> int:
+    """``text`` read by the package's one integer rule, ``config._int_at_least``;
+    a refusal names ``what``."""
     try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad {what} {text!r}") from None
+        return _int_at_least(low)(text)
+    except ValueError as error:
+        raise ValueError(f"{what} {error}") from None
 
 
 def load_instance(path: str | Path) -> IsingInstance:
@@ -457,16 +460,14 @@ def load_instance(path: str | Path) -> IsingInstance:
             key, value = (part.strip() for part in line.split("=", 1))
             if section is None:
                 if key == "n":
-                    n = _parse_int(value, "qubit count")
-                    if n < 1:
-                        raise ValueError(f"qubit count must be >= 1, got {n}")
+                    n = _int_field("qubit count", 1, value)
                 elif key == "label":
                     label = value
                 else:
                     raise ValueError(f"unknown top-level key {key!r}")
                 name, entry = repr(key), key
             elif section == "linear":
-                i = _parse_int(key, "linear index")
+                i = _int_field("linear index", 0, key)
                 _check_linear(i, n)
                 linear[i] = _parse_coeff(value)
                 name, entry = f"linear index {i}", i
@@ -474,7 +475,7 @@ def load_instance(path: str | Path) -> IsingInstance:
                 fields = key.split()
                 if len(fields) != 2:
                     raise ValueError(f"pair key must be 'i j', got {key!r}")
-                i, j = (_parse_int(f, "pair index") for f in fields)
+                i, j = (_int_field("pair index", 0, f) for f in fields)
                 _check_pair(i, j, n)
                 pairs[(i, j)] = _parse_coeff(value)
                 name, entry = f"pair ({i}, {j})", (min(i, j), max(i, j))

@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .ising import IsingInstance, chunked_energy, physical_memory, row_chunks
+from .ising import IsingInstance, chunked_energy, require_memory, row_chunks
 
 DEFAULT_MAX_QUBITS = 16
 
@@ -99,12 +99,8 @@ def _check_statevector(instance: IsingInstance, max_qubits: int) -> None:
         raise ValueError(
             f"{n} qubits needs 2^{n} amplitudes; statevector limit is {max_qubits}"
         )
-    needed, memory = STATEVECTOR_BYTES_PER_AMPLITUDE << n, physical_memory()
-    if needed > memory:
-        raise ValueError(
-            f"{n} qubits needs 2^{n} amplitudes, about {needed} bytes to simulate, "
-            f"more than physical memory ({memory} bytes)"
-        )
+    needed = STATEVECTOR_BYTES_PER_AMPLITUDE << n
+    require_memory(needed, f"simulating 2^{n} amplitudes of {n} qubits")
 
 
 def _evolve(

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cryoqaoa.audit import CASE_BYTES_PER_CELL, check_case, run_audit, write_counterexample
+from cryoqaoa.audit import CASE_BYTES_PER_CELL, check_case, counterexample_lines, run_audit
 from cryoqaoa.counters import CounterBank, RoomTempAccumulator
 from cryoqaoa.ising import IsingInstance
 
@@ -33,14 +33,14 @@ n = 2
 """
 
 
-def test_dropped_msb_report_pinned(tmp_path):
+def test_dropped_msb_report_pinned():
     result = run_audit(cases=25, seed=11, inject="drop-msb")
     violation = result.violation
     assert (result.ok, result.cases_run) == (False, 1)
     assert (violation.kind, violation.trial_index) == ("reconstruction", 7)
     assert violation.message == "entry 0: warm+cold = 1, direct tally = 5"
-    write_counterexample(tmp_path / "cex.txt", violation)
-    assert (tmp_path / "cex.txt").read_bytes() == DROP_MSB_SEED_11
+    lines = counterexample_lines(violation)
+    assert "".join(f"{line}\n" for line in lines).encode() == DROP_MSB_SEED_11
 
 
 @pytest.mark.parametrize(
@@ -100,7 +100,7 @@ def test_widths_beyond_int64_check_clean(width_b):
 
 @pytest.mark.parametrize("n", [1, 8])
 def test_case_peak_within_guard_estimate(n):
-    # the guard of cmd_audit prices a trial of one entry of the densest
+    # the guard of run_audit prices a trial of one entry of the densest
     # instance at CASE_BYTES_PER_CELL; b = 2 flushes the most
     pairs = dict.fromkeys(itertools.combinations(range(n), 2), 1)
     inst = IsingInstance(n, linear=dict.fromkeys(range(n), 1), pairs=pairs)

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 import cryoqaoa
 import cryoqaoa.audit as audit_mod
 import cryoqaoa.cli as cli
+import cryoqaoa.ising as ising_mod
 import cryoqaoa.qaoa as qaoa_mod
 from cryoqaoa import power
 from cryoqaoa.cli import build_parser, main
@@ -24,6 +26,7 @@ from cryoqaoa.config import ScenarioConfig, load_scenario
 from cryoqaoa.counters import Flushes, Ledger
 from cryoqaoa.ising import (
     CHUNK_CELLS,
+    IsingInstance,
     make_instance,
     pack_trials,
     row_chunks,
@@ -225,13 +228,14 @@ class TestRun:
     def test_generator_beyond_memory_exits_2(self, capsys, spec, terms):
         code, _, err = run_cli(capsys, "run", "--generator", spec)
         assert code == 2
-        assert f"has {terms} pair terms" in err
+        assert f"error: generator {spec!r} with {terms} pair terms needs about " in err
 
     def test_statevector_beyond_memory_exits_2(self, capsys):
         argv = ("run", "--generator", "ring:40", "--source", "exact", "--statevector-limit", "40")
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
-        assert "40 qubits needs 2^40 amplitudes" in err and "physical memory" in err
+        assert err.startswith("error: simulating 2^40 amplitudes of 40 qubits needs about ")
+        assert "bytes, more than physical memory (" in err
 
     def test_float_tally_error_exits_1(self, capsys, monkeypatch, tmp_path):
         import cryoqaoa.counters as counters
@@ -918,22 +922,95 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
     @pytest.mark.parametrize(
-        "argv, module, name",
+        "argv, lines",
         [
-            (WRITING_COMMANDS[0], cli, "open"),
-            (WRITING_COMMANDS[-1], audit_mod, "write_counterexample"),
+            (WRITING_COMMANDS[0], 0),
+            (WRITING_COMMANDS[-1], 5),
+            (WRITING_COMMANDS[1], 103),  # fig5b's 3 heading lines and 100 rows
+            (WRITING_COMMANDS[2], 10),
         ],
-        ids=["fig5a", "audit"],
+        ids=["fig5a", "audit", "fig5b", "run"],
     )
-    def test_write_error_exits_2(self, capsys, monkeypatch, tmp_path, argv, module, name):
-        def full(*args, **kwargs):
-            raise OSError(errno.ENOSPC, "No space left on device")
+    def test_write_error_exits_2(self, capsys, monkeypatch, tmp_path, argv, lines):
+        # the disk fills after ``lines`` lines; no partial file is left behind
+        real = cli._replace_on_success
 
-        monkeypatch.setattr(module, name, full, raising=False)
+        @contextmanager
+        def filling(path):
+            with real(path) as handle:
+                yield None if handle is None else _FillsAfter(handle, lines)
+
+        monkeypatch.setattr(cli, "_replace_on_success", filling)
         argv = [str(tmp_path / "x.txt") if arg == "{path}" else arg for arg in argv]
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.splitlines()[-1] == "error: [Errno 28] No space left on device"
+        assert list(tmp_path.iterdir()) == []
+
+
+class _FillsAfter:
+    """A binary file whose disk fills once ``lines`` lines are written."""
+
+    def __init__(self, handle, lines):
+        self.handle, self.left = handle, lines
+
+    def writelines(self, lines):
+        for line in lines:
+            if self.left == 0:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.handle.write(line)
+            self.left -= 1
+
+
+class _Unreachable:
+    """Stands in for what a refused call must not reach: calling it or
+    reading any of its attributes fails."""
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("reached before the refusal")
+
+    __getattr__ = __call__
+
+
+@pytest.mark.parametrize(
+    "call, module, name, needed",
+    [
+        (
+            lambda: make_instance("complete:4"),
+            ising_mod,
+            "complete_instance",
+            6 * ising_mod.GENERATOR_BYTES_PER_TERM,
+        ),
+        (
+            lambda: qaoa_mod.prepare_state(IsingInstance(9), qaoa_mod.QaoaParams((0.1,), (0.2,))),
+            qaoa_mod,
+            "np",
+            qaoa_mod.STATEVECTOR_BYTES_PER_AMPLITUDE << 9,
+        ),
+        (
+            lambda: cli.cmd_fig5b(cli._parser().parse_args(["fig5b", "--n-max", "1002"])),
+            power,
+            "system_comparison",
+            1001 * power.SWEEP_BYTES_PER_N,
+        ),
+        (
+            lambda: audit_mod.run_audit(cases=3, t_max=101),
+            audit_mod,
+            "random_instance",
+            3636 * audit_mod.CASE_BYTES_PER_CELL,
+        ),
+    ],
+    ids=["make_instance", "prepare_state", "fig5b", "run_audit"],
+)
+def test_every_memory_guard_reads_the_one_seam(monkeypatch, call, module, name, needed):
+    # only ising.physical_memory is patched; each guard refuses before it allocates
+    monkeypatch.setattr(ising_mod, "physical_memory", lambda: 1000)
+    monkeypatch.setattr(module, name, _Unreachable())
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value).endswith(
+        f" needs about {needed} bytes, more than physical memory (1000 bytes)"
+    )
 
 
 @pytest.mark.parametrize(
@@ -978,8 +1055,9 @@ def test_unread_option_is_usage_error(capsys, argv):
         (["fig5a", "--r-grid", "0.05 nan"], "--r-grid"),
         (["fig5a", "--r-grid", "inf"], "--r-grid"),
         (["fig5b", "--n-min", "3037000500", "--n-max", "3037000500"], "--n-max"),
-        (["audit", "--cases", "1", "--t-max", "100000000000000"], "--t-max"),
-        (["audit", "--cases", "0", "--n-max", "1000000000"], "--n-max"),
+        # run_audit's own guard names its parameters
+        (["audit", "--cases", "1", "--t-max", "100000000000000"], "t_max"),
+        (["audit", "--cases", "0", "--n-max", "1000000000"], "n_max"),
     ],
 )
 def test_bad_option_exits_2_naming_flag(capsys, argv, flag):
@@ -1088,7 +1166,7 @@ class TestFig5b:
         assert fig5b_peaks[65536] / 65535 <= power.SWEEP_BYTES_PER_N
 
     def test_sweep_beyond_memory_refused_before_allocating(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "physical_memory", lambda: power.SWEEP_BYTES_PER_N * 1000)
+        monkeypatch.setattr(ising_mod, "physical_memory", lambda: power.SWEEP_BYTES_PER_N * 1000)
         assert run_cli(capsys, "fig5b", "--n-max", "1001")[0] == 0  # 1000 qubit counts fit
 
         def swept(*args, **kwargs):
@@ -1295,16 +1373,20 @@ class TestAudit:
         import cryoqaoa.audit as audit
 
         # default --n-max 8: a case holds up to 36 entries per trial
-        monkeypatch.setattr(cli, "physical_memory", lambda: audit.CASE_BYTES_PER_CELL * 36 * 100)
+        memory = audit.CASE_BYTES_PER_CELL * 36 * 100
+        monkeypatch.setattr(ising_mod, "physical_memory", lambda: memory)
         assert run_cli(capsys, "audit", "--cases", "3", "--t-max", "100")[0] == 0
 
-        def drawn(**kwargs):
-            raise AssertionError("run_audit was called")
+        def drawn(*args):
+            raise AssertionError("a case was drawn")
 
-        monkeypatch.setattr(audit, "run_audit", drawn)
+        monkeypatch.setattr(audit, "random_instance", drawn)
         code, out, err = run_cli(capsys, "audit", "--cases", "3", "--t-max", "101")
         assert (code, out) == (2, "")
-        assert err.startswith("error: --t-max 101 at --n-max 8: a case of up to 3636 ")
+        assert err == (
+            f"error: t_max 101 at n_max 8: a case of up to 3636 trial-entry cells needs about "
+            f"{3636 * audit.CASE_BYTES_PER_CELL} bytes, more than physical memory ({memory} bytes)\n"
+        )
 
     def test_exhaustive_small(self, capsys):
         code, out, _ = run_cli(

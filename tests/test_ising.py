@@ -309,23 +309,29 @@ class TestFiles:
             pairs={(0, 1): -1, (2, 3): 1.5},
             label="mix",
         )
+        # qubit counts and indices follow the one integer rule, as flags do
+        path.write_text("n = 1e1\n[linear]\n2e0 = 1\n[pairs]\n0 1.0 = -1\n")
+        assert load_instance(path) == IsingInstance(10, linear={2: 1}, pairs={(0, 1): -1})
 
     @pytest.mark.parametrize(
-        "text, line",
+        "text, line, message",
         [
-            ("n = 3\n[linear]\nnot-a-line\n", 3),
-            ("n = x\n", 1),
-            ("n = 2\n[pairs]\n0 1 = abc\n", 3),
-            ("n = 2\n[pairs]\n0 1 = nan\n", 3),
-            ("n = 2\n[linear]\n1 = -inf\n", 3),
-            ("n = 4\n[pairs]\n0 1 = 1\n1 9 = 2\n", 4),
-            ("n = 4\n[linear]\n0 = 1\n4 = 2\n", 4),
-            ("n = 4\n[pairs]\n0 1 = 1\n2 2 = 2\n", 4),
-            ("[pairs]\n0 1 = 1\n", 1),
-            ("n = 0\n", 1),
-            ("n = 0\n[linear]\n0 = 1\n", 1),
-            ("# no qubits\nn = -2\n", 2),
-            ("n = 2\nlabel = a\nn = 3\n", 3),
+            ("n = 3\n[linear]\nnot-a-line\n", 3, "expected 'key = value', got 'not-a-line'"),
+            ("n = x\n", 1, "qubit count must be an integer >= 1, got x"),
+            ("n = 2\n[pairs]\n0 1 = abc\n", 3, "cannot parse coefficient 'abc'"),
+            ("n = 2\n[pairs]\n0 1 = nan\n", 3, "coefficient 'nan' is not finite"),
+            ("n = 2\n[linear]\n1 = -inf\n", 3, "coefficient '-inf' is not finite"),
+            ("n = 4\n[pairs]\n0 1 = 1\n1 9 = 2\n", 4, "pair (1, 9) out of range [0, 4)"),
+            ("n = 4\n[linear]\n0 = 1\n4 = 2\n", 4, "linear index 4 out of range [0, 4)"),
+            ("n = 4\n[pairs]\n0 1 = 1\n2 2 = 2\n", 4, "pair (2, 2) is a self-loop"),
+            ("[pairs]\n0 1 = 1\n", 1, "missing required 'n = N' line before [pairs]"),
+            ("n = 0\n", 1, "qubit count must be an integer >= 1, got 0"),
+            ("n = 0\n[linear]\n0 = 1\n", 1, "qubit count must be an integer >= 1, got 0"),
+            ("# no qubits\nn = -2\n", 2, "qubit count must be an integer >= 1, got -2"),
+            ("n = 2\nlabel = a\nn = 3\n", 3, "'n' repeats line 1"),
+            ("n = 1.5\n", 1, "qubit count must be an integer >= 1, got 1.5"),
+            ("n = 2\n[linear]\n-1 = 2\n", 3, "linear index must be an integer >= 0, got -1"),
+            ("n = 3\n[pairs]\n0 1.5 = 1\n", 3, "pair index must be an integer >= 0, got 1.5"),
         ],
         ids=[
             "no-equals",
@@ -341,13 +347,17 @@ class TestFiles:
             "zero-n-with-term",
             "negative-n",
             "repeated-n",
+            "non-integral-n",
+            "negative-linear-index",
+            "non-integral-pair-index",
         ],
     )
-    def test_parse_error_has_line_number(self, tmp_path, text, line):
+    def test_parse_error_has_line_number(self, tmp_path, text, line, message):
         path = tmp_path / "bad.instance"
         path.write_text(text)
-        with pytest.raises(ValueError, match=rf"bad\.instance:{line}: "):
+        with pytest.raises(ValueError) as refused:
             load_instance(path)
+        assert str(refused.value) == f"{path}:{line}: {message}"
 
     def test_unknown_section(self, tmp_path):
         path = tmp_path / "bad.instance"
